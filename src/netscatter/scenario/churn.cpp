@@ -18,9 +18,15 @@ churn_process::churn_process(churn_spec spec, std::size_t universe,
       low_region_(std::move(low_region)),
       contention_(spec.aloha_initial_window, spec.aloha_max_window) {
     ns::util::require(universe > 0, "churn: universe must be non-empty");
+    constexpr double max_rate = ns::util::rng::max_poisson_mean;
     ns::util::require(spec_.join_rate_per_round >= 0.0 &&
-                          spec_.leave_rate_per_round >= 0.0,
-                      "churn: rates must be >= 0");
+                          spec_.join_rate_per_round <= max_rate,
+                      "churn: join_rate_per_round must be in "
+                      "[0, rng::max_poisson_mean]");
+    ns::util::require(spec_.leave_rate_per_round >= 0.0 &&
+                          spec_.leave_rate_per_round <= max_rate,
+                      "churn: leave_rate_per_round must be in "
+                      "[0, rng::max_poisson_mean]");
     ns::util::require(low_region_.empty() || low_region_.size() == universe,
                       "churn: low_region must be empty or universe-sized");
     const std::size_t initial =

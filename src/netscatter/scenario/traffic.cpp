@@ -14,8 +14,11 @@ traffic_model::traffic_model(traffic_spec spec, std::size_t num_devices,
                       "traffic: period_rounds must be >= 1");
     ns::util::require(spec_.duty_cycle >= 0.0 && spec_.duty_cycle <= 1.0,
                       "traffic: duty_cycle must be in [0, 1]");
-    ns::util::require(spec_.arrivals_per_round >= 0.0,
-                      "traffic: arrivals_per_round must be >= 0");
+    ns::util::require(spec_.arrivals_per_round >= 0.0 &&
+                          spec_.arrivals_per_round <=
+                              ns::util::rng::max_poisson_mean,
+                      "traffic: arrivals_per_round must be in "
+                      "[0, rng::max_poisson_mean]");
     ns::util::require(spec_.burst_probability >= 0.0 && spec_.burst_probability <= 1.0,
                       "traffic: burst_probability must be in [0, 1]");
     // Random per-device phases desynchronize periodic reporters the way

@@ -12,6 +12,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "netscatter/util/rng.hpp"
+
 namespace ns::spec {
 
 namespace {
@@ -82,6 +84,8 @@ num_domain unit() { return {0.0, 1.0}; }
 num_domain unit_open_hi() { return {0.0, 1.0, false, true}; }
 num_domain at_least(double lo) { return {lo, pos_inf}; }
 num_domain more_than(double lo) { return {lo, pos_inf, true, false}; }
+/// Mean of a per-round Poisson draw (rng::poisson's accepted range).
+num_domain poisson_mean() { return {0.0, ns::util::rng::max_poisson_mean}; }
 
 // ---------------------------------------------------------------------
 // The field table.
@@ -428,7 +432,7 @@ std::vector<field> build_fields() {
                           NS_ACCESS(traffic.period_rounds), 1));
     t.push_back(f64_field("traffic.arrivals_per_round",
                           NS_ACCESS(traffic.arrivals_per_round),
-                          at_least(0.0)));
+                          poisson_mean()));
     t.push_back(f64_field("traffic.burst_probability",
                           NS_ACCESS(traffic.burst_probability), unit()));
     t.push_back(
@@ -436,10 +440,11 @@ std::vector<field> build_fields() {
 
     // Churn + association.
     t.push_back(f64_field("churn.join_rate_per_round",
-                          NS_ACCESS(churn.join_rate_per_round), at_least(0.0)));
+                          NS_ACCESS(churn.join_rate_per_round),
+                          poisson_mean()));
     t.push_back(f64_field("churn.leave_rate_per_round",
                           NS_ACCESS(churn.leave_rate_per_round),
-                          at_least(0.0)));
+                          poisson_mean()));
     t.push_back(size_or_all_field("churn.initial_active"));
     t.push_back(int_field("churn.max_joins_per_round",
                           NS_ACCESS(churn.max_joins_per_round)));

@@ -136,11 +136,9 @@ double rng::exponential(double mean) {
 
 std::uint64_t rng::poisson(double mean) {
     require(mean >= 0.0, "rng::poisson: mean must be >= 0");
-    // Knuth's product method: O(mean) uniforms per sample, and
-    // exp(-mean) underflows to 0 near mean ~745 (the loop would then cap
-    // every sample at the product's underflow point — silently wrong).
     // The per-round arrival/churn rates this serves are << 100.
-    require(mean <= 500.0, "rng::poisson: mean too large for the product method");
+    require(mean <= max_poisson_mean,
+            "rng::poisson: mean too large for the product method");
     if (mean == 0.0) return 0;
     const double limit = std::exp(-mean);
     std::uint64_t count = 0;

@@ -58,9 +58,16 @@ public:
     /// Exponential sample with the given mean. Requires mean > 0.
     double exponential(double mean);
 
+    /// Largest mean poisson() accepts. Knuth's product method costs O(mean)
+    /// uniforms per sample, and exp(-mean) underflows to 0 near mean ~745
+    /// (the loop would then cap every sample at the product's underflow
+    /// point — silently wrong). The spec codec bounds every Poisson-drawn
+    /// rate by this same constant, so a bad rate fails at spec load.
+    static constexpr double max_poisson_mean = 500.0;
+
     /// Poisson sample with the given mean (Knuth's product method; meant
     /// for the small rates of the scenario traffic/churn processes).
-    /// Requires mean >= 0.
+    /// Requires 0 <= mean <= max_poisson_mean.
     std::uint64_t poisson(double mean);
 
     /// Bernoulli sample: true with probability p.

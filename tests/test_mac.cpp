@@ -344,6 +344,23 @@ TEST(ap, network_ids_unique) {
         ap.handle_association_ack(d);
     }
     EXPECT_EQ(ids.size(), 16u);
+
+    // Joiners admitted one grant at a time, across a spread of received
+    // powers, end up on distinct cyclic shifts.
+    access_point spread(default_alloc(2, 2));
+    for (std::uint32_t d = 0; d < 30; ++d) {
+        spread.handle_association_request(
+            {.device_id = d,
+             .region = d % 2 == 0 ? snr_region::high : snr_region::low,
+             .rx_power_dbm = -90.0 - static_cast<double>(d)});
+        spread.handle_association_ack(d);
+    }
+    std::set<std::uint32_t> shifts;
+    for (const auto& [id, record] : spread.devices()) {
+        shifts.insert(record.cyclic_shift);
+    }
+    EXPECT_EQ(spread.devices().size(), 30u);
+    EXPECT_EQ(shifts.size(), 30u);
 }
 
 TEST(ap, infeasible_join_triggers_full_reassignment) {

@@ -2,13 +2,13 @@
 //
 // Parser diagnostics (unknown key, duplicate key, type mismatch,
 // out-of-domain — each a distinct error naming the offending line),
-// the serialize→parse→serialize fixed point over every builtin
-// scenario, the committed specs/*.spec files as a byte-exact oracle of
-// the C++ registry table, the registry-over-files loader, the --vary
-// override primitive, and the Cartesian sweep engine's expansion order
-// and thread-count invariance.
+// the serialize→parse→serialize fixed point over every registered
+// scenario, the committed specs/*.spec files as their own canonical
+// form, the --vary override primitive, and the Cartesian sweep engine's
+// expansion order and thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -17,8 +17,10 @@
 
 #include "netscatter/scenario/scenario_registry.hpp"
 #include "netscatter/scenario/scenario_runner.hpp"
+#include "netscatter/scenario/traffic.hpp"
 #include "netscatter/spec/spec_codec.hpp"
 #include "netscatter/spec/sweep.hpp"
+#include "netscatter/util/error.hpp"
 
 namespace {
 
@@ -83,6 +85,41 @@ TEST(spec_parser, malformed_lines_fail_with_line_numbers) {
     expect_parse_error("sim.rounds =\n", {"test.spec:1:", "missing value"});
 }
 
+TEST(spec_parser, poisson_rates_are_bounded_at_load_naming_the_key) {
+    // rng::poisson rejects means above rng::max_poisson_mean; the codec
+    // must reject such a rate when the spec is read, naming the key,
+    // not after the deployment is built.
+    for (const std::string key :
+         {"traffic.arrivals_per_round", "churn.join_rate_per_round",
+          "churn.leave_rate_per_round"}) {
+        expect_parse_error(key + " = 501\n",
+                           {"test.spec:1:", "key '" + key + "'",
+                            "out of domain [0, 500]"});
+        EXPECT_NO_THROW(parse_spec_text_as_scenario(key + " = 500\n",
+                                                    "test.spec"));
+        scenario_spec spec;
+        try {
+            apply_spec_override(spec, key, "600", "--vary");
+            ADD_FAILURE() << "no spec_error for --vary " << key << "=600";
+        } catch (const spec_error& error) {
+            EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+                << error.what();
+        }
+    }
+    // The sweep repro: the bad cell fails at expansion, before any run.
+    const auto churn_heavy = find_scenario("churn-heavy");
+    ASSERT_TRUE(churn_heavy.has_value());
+    EXPECT_THROW(
+        expand_sweep(*churn_heavy,
+                     {parse_sweep_axis("churn.join_rate_per_round=600")}),
+        spec_error);
+    // A hand-built spec that skips the codec is caught by the same bound.
+    traffic_spec traffic;
+    traffic.kind = traffic_kind::poisson;
+    traffic.arrivals_per_round = 501.0;
+    EXPECT_THROW(traffic_model(traffic, 4, 1), ns::util::invalid_argument);
+}
+
 TEST(spec_parser, cross_field_validation_carries_the_source) {
     // Window ordering is only checkable once both keys are read, so the
     // error carries the file (no single line).
@@ -93,8 +130,9 @@ TEST(spec_parser, cross_field_validation_carries_the_source) {
 
 // --------------------------------------------------------- fixed point --
 
-TEST(spec_codec, serialize_parse_serialize_is_a_fixed_point_for_every_builtin) {
-    for (const auto& spec : builtin_registry()) {
+TEST(spec_codec, serialize_parse_serialize_is_a_fixed_point_for_every_registered_scenario) {
+    ASSERT_FALSE(registry().empty());
+    for (const auto& spec : registry()) {
         const std::string once = serialize_spec(spec);
         const scenario_spec parsed =
             parse_spec_text_as_scenario(once, spec.name);
@@ -148,37 +186,18 @@ std::string read_file(const std::string& path) {
     return out.str();
 }
 
-TEST(spec_files, every_committed_spec_equals_its_builtin_serialization) {
-    // The drift gate: regenerating any committed file must be a no-op.
-    for (const auto& spec : builtin_registry()) {
-        const std::string path = spec_dir() + "/" + spec.name + ".spec";
-        EXPECT_EQ(read_file(path), serialize_spec(spec)) << path;
+TEST(spec_files, every_committed_spec_is_its_own_canonical_serialization) {
+    // The drift gate: regenerating any committed file must be a no-op,
+    // so every file is a parse→print fixed point.
+    std::size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(spec_dir())) {
+        if (entry.path().extension() != ".spec") continue;
+        const std::string path = entry.path().string();
+        EXPECT_EQ(read_file(path), serialize_spec(load_spec_file(path)))
+            << path;
+        ++files;
     }
-}
-
-TEST(spec_files, registry_serves_the_files_and_matches_the_builtin_table) {
-    const auto& loaded = registry();
-    const auto& sources = registry_sources();
-    ASSERT_EQ(loaded.size(), sources.size());
-    ASSERT_EQ(loaded.size(), builtin_registry().size());
-
-    std::set<std::string> loaded_names;
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        loaded_names.insert(loaded[i].name);
-        EXPECT_NE(sources[i], "<builtin>") << loaded[i].name;
-        // Each loaded spec equals the builtin of the same name,
-        // field-for-field (via the injective serialization).
-        const auto builtin = [&]() -> const scenario_spec* {
-            for (const auto& b : builtin_registry()) {
-                if (b.name == loaded[i].name) return &b;
-            }
-            return nullptr;
-        }();
-        ASSERT_NE(builtin, nullptr) << loaded[i].name;
-        EXPECT_EQ(serialize_spec(loaded[i]), serialize_spec(*builtin))
-            << loaded[i].name;
-    }
-    EXPECT_EQ(loaded_names.size(), loaded.size());
+    EXPECT_EQ(files, registry().size());
 }
 
 /// Determinism digest for cheap end-to-end comparisons.
@@ -195,22 +214,6 @@ std::string digest(const scenario_result& result) {
             << round.bit_errors;
     }
     return out.str();
-}
-
-TEST(spec_files, a_file_loaded_scenario_runs_identically_to_the_builtin) {
-    const auto loaded = find_scenario("office-256");
-    ASSERT_TRUE(loaded.has_value());
-    scenario_spec from_file = *loaded;
-    scenario_spec from_cpp;
-    for (const auto& b : builtin_registry()) {
-        if (b.name == "office-256") from_cpp = b;
-    }
-    for (scenario_spec* spec : {&from_file, &from_cpp}) {
-        spec->sim.rounds = 3;
-        spec->replicas = 2;
-        spec->geometry.num_devices = 48;
-    }
-    EXPECT_EQ(digest(run_scenario(from_file)), digest(run_scenario(from_cpp)));
 }
 
 // ------------------------------------------------------------ overrides --
@@ -292,10 +295,9 @@ TEST(sweep, expansion_is_row_major_with_the_last_axis_fastest) {
 }
 
 TEST(sweep, product_results_are_bit_identical_serial_vs_8_threads) {
-    scenario_spec base;
-    for (const auto& b : builtin_registry()) {
-        if (b.name == "office-256") base = b;
-    }
+    const auto office = find_scenario("office-256");
+    ASSERT_TRUE(office.has_value());
+    scenario_spec base = *office;
     base.sim.rounds = 2;
     base.replicas = 2;
     base.geometry.num_devices = 32;
