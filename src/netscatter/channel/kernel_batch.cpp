@@ -127,10 +127,12 @@ void interpolate_bands_scalar(cplx* dst, std::size_t pad, const cplx* grid,
 
 namespace {
 
-/// Fused residue accumulators live in a fixed register/stack array; a
-/// zero-padding factor beyond this (never seen in practice — factors
-/// are small powers of two) falls back to the scalar reference.
-constexpr std::size_t max_fused_residues = 15;
+// The fused FIR keeps one accumulator per residue in registers, so the
+// vector backends take the residue count R = pad - 1 as a template
+// parameter, instantiated for the power-of-two zero-padding factors 2,
+// 4, 8 and 16. Any other factor (never seen in practice; beyond 16 the
+// accumulators would not fit the register file anyway) runs the scalar
+// reference.
 
 #if defined(NS_SIMD_AVX2)
 
@@ -160,15 +162,12 @@ __attribute__((target("avx2"))) void accumulate_run_avx2(cplx* dst,
     }
 }
 
-__attribute__((target("avx2"))) void interpolate_bands_avx2(
-    cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
-    const cplx* coeffs, std::size_t count) {
+template <std::size_t R>
+__attribute__((target("avx2"))) void interpolate_bands_avx2_fixed(
+    cplx* dst, const cplx* grid, std::size_t radius, const cplx* coeffs,
+    std::size_t count) {
+    constexpr std::size_t pad = R + 1;
     const std::size_t taps = 2 * radius + 1;
-    const std::size_t residues = pad - 1;
-    if (residues > max_fused_residues) {
-        interpolate_bands_scalar(dst, pad, grid, radius, coeffs, count);
-        return;
-    }
     // Two q-lanes per vector: grid[q+t] and grid[q+1+t] are adjacent in
     // memory, so one unaligned load per tap feeds every residue's FIR
     // accumulator pair. The per-lane add order matches the scalar
@@ -178,13 +177,13 @@ __attribute__((target("avx2"))) void interpolate_bands_avx2(
     std::size_t q = 0;
     const std::size_t paired = count & ~std::size_t{1};
     for (; q < paired; q += 2) {
-        __m256d acc[max_fused_residues];
-        for (std::size_t r = 0; r < residues; ++r) acc[r] = _mm256_setzero_pd();
+        __m256d acc[R];
+        for (std::size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
         const double* w = g + 2 * q;
         for (std::size_t t = 0; t < taps; ++t) {
             const __m256d wv = _mm256_loadu_pd(w + 2 * t);
             const __m256d ws = _mm256_permute_pd(wv, 0x5);
-            for (std::size_t r = 0; r < residues; ++r) {
+            for (std::size_t r = 0; r < R; ++r) {
                 const cplx c = coeffs[r * taps + t];
                 const __m256d t1 = _mm256_mul_pd(wv, _mm256_set1_pd(c.real()));
                 const __m256d t2 = _mm256_mul_pd(ws, _mm256_set1_pd(c.imag()));
@@ -193,7 +192,7 @@ __attribute__((target("avx2"))) void interpolate_bands_avx2(
         }
         dst[pad * q] = grid[radius + q];
         dst[pad * (q + 1)] = grid[radius + q + 1];
-        for (std::size_t r = 0; r < residues; ++r) {
+        for (std::size_t r = 0; r < R; ++r) {
             double lane[4];
             _mm256_storeu_pd(lane, acc[r]);
             dst[pad * q + r + 1] = cplx{lane[0], lane[1]};
@@ -203,6 +202,18 @@ __attribute__((target("avx2"))) void interpolate_bands_avx2(
     if (q < count) {
         interpolate_bands_scalar(dst + pad * q, pad, grid + q, radius, coeffs,
                                  count - q);
+    }
+}
+
+void interpolate_bands_avx2(cplx* dst, std::size_t pad, const cplx* grid,
+                            std::size_t radius, const cplx* coeffs,
+                            std::size_t count) {
+    switch (pad) {
+        case 2: return interpolate_bands_avx2_fixed<1>(dst, grid, radius, coeffs, count);
+        case 4: return interpolate_bands_avx2_fixed<3>(dst, grid, radius, coeffs, count);
+        case 8: return interpolate_bands_avx2_fixed<7>(dst, grid, radius, coeffs, count);
+        case 16: return interpolate_bands_avx2_fixed<15>(dst, grid, radius, coeffs, count);
+        default: return interpolate_bands_scalar(dst, pad, grid, radius, coeffs, count);
     }
 }
 
@@ -228,25 +239,22 @@ void accumulate_run_neon(cplx* dst, const cplx* window, std::size_t count,
     }
 }
 
-void interpolate_bands_neon(cplx* dst, std::size_t pad, const cplx* grid,
-                            std::size_t radius, const cplx* coeffs,
-                            std::size_t count) {
+template <std::size_t R>
+void interpolate_bands_neon_fixed(cplx* dst, const cplx* grid,
+                                  std::size_t radius, const cplx* coeffs,
+                                  std::size_t count) {
+    constexpr std::size_t pad = R + 1;
     const std::size_t taps = 2 * radius + 1;
-    const std::size_t residues = pad - 1;
-    if (residues > max_fused_residues) {
-        interpolate_bands_scalar(dst, pad, grid, radius, coeffs, count);
-        return;
-    }
     const double* g = reinterpret_cast<const double*>(grid);
     const float64x2_t negpos = {-1.0, 1.0};
     for (std::size_t q = 0; q < count; ++q) {
-        float64x2_t acc[max_fused_residues];
-        for (std::size_t r = 0; r < residues; ++r) acc[r] = vdupq_n_f64(0.0);
+        float64x2_t acc[R];
+        for (std::size_t r = 0; r < R; ++r) acc[r] = vdupq_n_f64(0.0);
         const double* w = g + 2 * q;
         for (std::size_t t = 0; t < taps; ++t) {
             const float64x2_t wv = vld1q_f64(w + 2 * t);
             const float64x2_t ws = vextq_f64(wv, wv, 1);
-            for (std::size_t r = 0; r < residues; ++r) {
+            for (std::size_t r = 0; r < R; ++r) {
                 const cplx c = coeffs[r * taps + t];
                 const float64x2_t t1 = vmulq_f64(wv, vdupq_n_f64(c.real()));
                 const float64x2_t t2 =
@@ -255,9 +263,21 @@ void interpolate_bands_neon(cplx* dst, std::size_t pad, const cplx* grid,
             }
         }
         dst[pad * q] = grid[radius + q];
-        for (std::size_t r = 0; r < residues; ++r) {
+        for (std::size_t r = 0; r < R; ++r) {
             vst1q_f64(reinterpret_cast<double*>(dst + pad * q + r + 1), acc[r]);
         }
+    }
+}
+
+void interpolate_bands_neon(cplx* dst, std::size_t pad, const cplx* grid,
+                            std::size_t radius, const cplx* coeffs,
+                            std::size_t count) {
+    switch (pad) {
+        case 2: return interpolate_bands_neon_fixed<1>(dst, grid, radius, coeffs, count);
+        case 4: return interpolate_bands_neon_fixed<3>(dst, grid, radius, coeffs, count);
+        case 8: return interpolate_bands_neon_fixed<7>(dst, grid, radius, coeffs, count);
+        case 16: return interpolate_bands_neon_fixed<15>(dst, grid, radius, coeffs, count);
+        default: return interpolate_bands_scalar(dst, pad, grid, radius, coeffs, count);
     }
 }
 

@@ -154,15 +154,25 @@ void sweep_block(void* context, std::size_t block) {
     const std::size_t begin = block * c.total_spectra / c.num_blocks;
     const std::size_t end = (block + 1) * c.total_spectra / c.num_blocks;
     cvec& grid = c.ws->noise_grids[block];
+    // One clock read per phase boundary: each symbol's noise interval
+    // starts where the previous symbol's sweep ended.
+    std::uint64_t noise_ns = 0;
     std::uint64_t sweep_ns = 0;
+    std::uint64_t mark = c.time_sweep ? ns::obs::now_ns() : 0;
     for (std::size_t k = begin; k < end; ++k) {
         cvec& spectrum = c.ws->symbol_spectra[k];
         ns::util::rng srng(symbol_noise_seed(c.round_seed, k));
         synthesize_noise(c, spectrum, grid, srng);
-        const std::uint64_t t0 = c.time_sweep ? ns::obs::now_ns() : 0;
+        const std::uint64_t noise_end = c.time_sweep ? ns::obs::now_ns() : 0;
         accumulate_symbol(c.ws->batch, k, spectrum);
-        if (c.time_sweep) sweep_ns += ns::obs::now_ns() - t0;
+        if (c.time_sweep) {
+            const std::uint64_t sweep_end = ns::obs::now_ns();
+            noise_ns += noise_end - mark;
+            sweep_ns += sweep_end - noise_end;
+            mark = sweep_end;
+        }
     }
+    c.ws->block_noise_ns[block] = noise_ns;
     c.ws->block_kernel_ns[block] = sweep_ns;
 }
 
@@ -228,10 +238,14 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
                 const double magnitude =
                     std::sin(std::numbers::pi * x / static_cast<double>(pad)) /
                     std::sin(std::numbers::pi * theta);
+                // rho · (cos φ, sin φ), not std::polar: the magnitude's
+                // sign alternates with the tap offset, and a negative rho
+                // is undefined for std::polar.
+                const double rho = magnitude / static_cast<double>(n);
+                const double phi =
+                    std::numbers::pi * (static_cast<double>(n) - 1.0) * theta;
                 workspace.noise_taps[(r - 1) * taps + t] =
-                    std::polar(magnitude / static_cast<double>(n),
-                               std::numbers::pi * (static_cast<double>(n) - 1.0) *
-                                   theta);
+                    cplx{rho * std::cos(phi), rho * std::sin(phi)};
             }
         }
     }
@@ -255,6 +269,9 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     std::uint64_t window_elems = 0;
     const bool timed = workspace.obs.metrics != nullptr;
     const std::uint64_t plan_t0 = timed ? ns::obs::now_ns() : 0;
+    // The window factors depend only on (N, padding, radius): built on
+    // the first round, a no-op afterwards.
+    workspace.kernel_table.prepare(n, sd.zero_padding, sd.kernel_radius_bins);
     for (const auto& packet : packets) {
         const double power = config.noise_power * ns::util::db_to_linear(packet.snr_db);
         const double amplitude = std::sqrt(power);
@@ -271,13 +288,13 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
         const cvec* window;
         if (packet.taps.empty()) {
             first = ns::phy::make_dechirped_tone_kernel(
-                workspace.kernel, position_bins, n, sd.zero_padding,
-                sd.kernel_radius_bins);
+                workspace.kernel, position_bins, sd.kernel_radius_bins,
+                workspace.kernel_table);
             window = &workspace.kernel;
         } else {
             first = ns::phy::make_multipath_tone_kernel(
-                workspace.envelope, packet.taps, packet.cyclic_shift, tone_bins, n,
-                sd.zero_padding, sd.kernel_radius_bins, workspace.kernel);
+                workspace.envelope, packet.taps, packet.cyclic_shift, tone_bins,
+                sd.kernel_radius_bins, workspace.kernel_table, workspace.kernel);
             window = &workspace.envelope;
         }
         const std::uint32_t window_id = batch.add_window(*window);
@@ -340,6 +357,7 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
             grid.resize(n + 2 * interp_radius);
         }
     }
+    workspace.block_noise_ns.assign(num_blocks, 0);
     workspace.block_kernel_ns.assign(num_blocks, 0);
 
     sweep_context ctx;
@@ -376,11 +394,13 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
 
     if (workspace.obs.metrics != nullptr) {
         ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
+        ns::obs::histogram* noise_hist = metrics.get_histogram("phy.noise_s");
         ns::obs::histogram* sweep_hist =
             metrics.get_histogram("phy.kernel_sum_s");
-        // Per-block sweep times merge deterministically: recorded by the
-        // calling thread, in block order, after the join.
+        // Per-block noise and sweep times merge deterministically:
+        // recorded by the calling thread, in block order, after the join.
         for (std::size_t block = 0; block < num_blocks; ++block) {
+            noise_hist->record_ns(workspace.block_noise_ns[block]);
             sweep_hist->record_ns(workspace.block_kernel_ns[block]);
         }
         metrics.get_counter("phy.fast_packets")->add(packets.size());

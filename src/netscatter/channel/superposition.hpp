@@ -31,6 +31,7 @@
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/dsp/vector_ops.hpp"
 #include "netscatter/obs/sink.hpp"
+#include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
 #include "netscatter/util/rng.hpp"
 
@@ -140,6 +141,10 @@ struct channel_workspace {
     std::vector<cvec> symbol_spectra;  ///< per-symbol accumulators (fast path):
                                        ///< preamble upchirps then payload symbols
     cvec kernel;                    ///< per-device Dirichlet window
+    /// Per-(N, padding) Dirichlet window factors the table-driven
+    /// kernel reads (phy::tone_kernel_table). Prepared by the serial
+    /// planning stage on the first round; steady-state rounds reuse it.
+    ns::phy::tone_kernel_table kernel_table;
     cvec envelope;                  ///< multipath-enveloped kernel window
     cvec noise_taps;                ///< banded interpolation coefficients
     /// SoA kernel placements: planned serially, swept per symbol.
@@ -147,8 +152,10 @@ struct channel_workspace {
     /// Per-block on-grid noise draws + wrap margins (one grid per
     /// symbol block so blocks never share mutable scratch).
     std::vector<cvec> noise_grids;
-    /// Per-block accumulation-sweep nanoseconds, recorded into
-    /// phy.kernel_sum_s in block order after the join.
+    /// Per-block noise-synthesis and accumulation-sweep nanoseconds,
+    /// recorded into phy.noise_s and phy.kernel_sum_s in block order
+    /// after the join.
+    std::vector<std::uint64_t> block_noise_ns;
     std::vector<std::uint64_t> block_kernel_ns;
     /// Sample-path per-device packet buffers (span-stable handout; see
     /// cvec_pool). Release at the start of each round.

@@ -1,6 +1,8 @@
 #include "netscatter/phy/chirp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
 
 #include "netscatter/dsp/vector_ops.hpp"
@@ -59,11 +61,47 @@ cvec make_upchirp_time_rotated(const css_params& params, std::size_t shift) {
     return rotated;
 }
 
-std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
-                                       std::size_t num_bins, std::size_t padding,
-                                       std::size_t radius_bins) {
-    ns::util::require(num_bins >= 2 && padding >= 1,
+void tone_kernel_table::prepare(std::size_t bins, std::size_t pad,
+                                std::size_t radius_bins) {
+    ns::util::require(bins >= 2 && pad >= 1,
                       "tone_kernel: need at least two bins and padding >= 1");
+    const std::size_t m_total = bins * pad;
+    const std::size_t half = std::min(radius_bins * pad, m_total / 2);
+    if (bins == num_bins && pad == padding && half <= half_width) return;
+    num_bins = bins;
+    padding = pad;
+    half_width = half;
+
+    const double m_real = static_cast<double>(m_total);
+    const double p_real = static_cast<double>(pad);
+    const double n_minus_1 = static_cast<double>(bins) - 1.0;
+    const std::size_t size = 2 * half + 1;
+    cos_m.resize(size);
+    sin_m.resize(size);
+    cos_p.resize(size);
+    sin_p.resize(size);
+    phase.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        const double d =
+            static_cast<double>(static_cast<std::ptrdiff_t>(i) -
+                                static_cast<std::ptrdiff_t>(half));
+        const double theta = d / m_real;
+        cos_m[i] = std::cos(std::numbers::pi * theta);
+        sin_m[i] = std::sin(std::numbers::pi * theta);
+        cos_p[i] = std::cos(std::numbers::pi * d / p_real);
+        sin_p[i] = std::sin(std::numbers::pi * d / p_real);
+        const double angle = std::numbers::pi * n_minus_1 * theta;
+        phase[i] = cplx{std::cos(angle), -std::sin(angle)};
+    }
+}
+
+std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
+                                       std::size_t radius_bins,
+                                       const tone_kernel_table& table) {
+    const std::size_t num_bins = table.num_bins;
+    const std::size_t padding = table.padding;
+    ns::util::require(num_bins >= 2 && padding >= 1,
+                      "tone_kernel: table not prepared");
     const std::size_t m_total = num_bins * padding;
     const double n = static_cast<double>(num_bins);
     const double m_real = static_cast<double>(m_total);
@@ -77,36 +115,71 @@ std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
 
     const std::size_t half =
         std::min(radius_bins * padding, m_total / 2);
+    ns::util::require(half <= table.half_width,
+                      "tone_kernel: table narrower than the window");
     const std::size_t window = std::min(2 * half + 1, m_total);
     kernel.resize(window);
 
     const auto centre = static_cast<std::ptrdiff_t>(std::llround(p));
     const std::ptrdiff_t first_signed = centre - static_cast<std::ptrdiff_t>(half);
+
+    // Element w sits x = x_c - d padded bins from the peak, with x_c the
+    // peak's (exact) offset from the centre bin and d = w - half. Each
+    // angle of the kernel is then a difference whose x_c side is one
+    // sincos here and whose d side is tabulated; referencing the centre
+    // (|x_c| <= 1/2) rather than the window edge keeps the near-peak
+    // denominators free of cancellation.
+    const double x_c = p - static_cast<double>(centre);
+    const double theta_c = x_c / m_real;
+    const double sin_mc = std::sin(std::numbers::pi * theta_c);
+    const double cos_mc = std::cos(std::numbers::pi * theta_c);
+    const double sin_pc = std::sin(std::numbers::pi * x_c / static_cast<double>(padding));
+    const double cos_pc = std::cos(std::numbers::pi * x_c / static_cast<double>(padding));
+    const double angle_c = std::numbers::pi * (n - 1.0) * theta_c;
+    const double phase_re = std::cos(angle_c);
+    const double phase_im = std::sin(angle_c);
+
+    // The output never aliases the table; saying so (__restrict) lets
+    // the loop vectorize.
+    const std::size_t base = table.half_width - half;
+    const double* cos_m = table.cos_m.data() + base;
+    const double* sin_m = table.sin_m.data() + base;
+    const double* cos_p = table.cos_p.data() + base;
+    const double* sin_p = table.sin_p.data() + base;
+    const cplx* rotation = table.phase.data() + base;
+    cplx* __restrict out = kernel.data();
     for (std::size_t w = 0; w < window; ++w) {
-        const double x =
-            p - static_cast<double>(first_signed + static_cast<std::ptrdiff_t>(w));
-        const double theta = x / m_real;
-        const double denominator = std::sin(std::numbers::pi * theta);
-        double magnitude;
-        if (std::abs(denominator) < 1e-12) {
-            magnitude = n;  // θ -> 0 limit (the on-peak bin)
-        } else {
-            magnitude =
-                std::sin(std::numbers::pi * x / static_cast<double>(padding)) /
-                denominator;
-        }
-        kernel[w] = std::polar(magnitude, std::numbers::pi * (n - 1.0) * theta);
+        const double denominator = sin_mc * cos_m[w] - cos_mc * sin_m[w];
+        const double numerator = sin_pc * cos_p[w] - cos_pc * sin_p[w];
+        // θ -> 0 limit (the on-peak bin): N.
+        const double magnitude =
+            std::abs(denominator) < 1e-12 ? n : numerator / denominator;
+        const double re = rotation[w].real();
+        const double im = rotation[w].imag();
+        out[w] = cplx{magnitude * (phase_re * re - phase_im * im),
+                      magnitude * (phase_re * im + phase_im * re)};
     }
 
     const std::ptrdiff_t m_signed = static_cast<std::ptrdiff_t>(m_total);
     return static_cast<std::size_t>(((first_signed % m_signed) + m_signed) % m_signed);
 }
 
+std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
+                                       std::size_t num_bins, std::size_t padding,
+                                       std::size_t radius_bins) {
+    tone_kernel_table table;
+    table.prepare(num_bins, padding, radius_bins);
+    return make_dechirped_tone_kernel(kernel, position_bins, radius_bins, table);
+}
+
 std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
                                        std::uint32_t cyclic_shift, double tone_bins,
-                                       std::size_t num_bins, std::size_t padding,
-                                       std::size_t radius_bins, cvec& kernel_scratch) {
+                                       std::size_t radius_bins,
+                                       const tone_kernel_table& table,
+                                       cvec& kernel_scratch) {
     ns::util::require(!taps.empty(), "multipath_tone_kernel: need at least one tap");
+    const std::size_t num_bins = table.num_bins;
+    const std::size_t padding = table.padding;
     const std::size_t m_total = num_bins * padding;
     const std::size_t spread = (taps.size() - 1) * padding;
     ns::util::require(spread < m_total,
@@ -117,8 +190,7 @@ std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> tap
     const std::size_t max_radius = ((m_total - spread - 1) / 2) / padding;
     const double position = static_cast<double>(cyclic_shift) + tone_bins;
     const std::size_t first_p = make_dechirped_tone_kernel(
-        kernel_scratch, position, num_bins, padding,
-        std::min(radius_bins, max_radius));
+        kernel_scratch, position, std::min(radius_bins, max_radius), table);
 
     const std::size_t window = kernel_scratch.size();
     envelope.assign(window + spread, cplx{0.0, 0.0});
@@ -145,6 +217,16 @@ std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> tap
         }
     }
     return (first_p + m_total - spread) % m_total;
+}
+
+std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
+                                       std::uint32_t cyclic_shift, double tone_bins,
+                                       std::size_t num_bins, std::size_t padding,
+                                       std::size_t radius_bins, cvec& kernel_scratch) {
+    tone_kernel_table table;
+    table.prepare(num_bins, padding, radius_bins);
+    return make_multipath_tone_kernel(envelope, taps, cyclic_shift, tone_bins,
+                                      radius_bins, table, kernel_scratch);
 }
 
 cvec dechirp(const css_params& params, const cvec& symbol) {

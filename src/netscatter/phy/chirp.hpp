@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/phy/css_params.hpp"
@@ -46,6 +47,33 @@ cvec make_upchirp_time_rotated(const css_params& params, std::size_t shift);
 /// baseline downchirp. Requires symbol.size() == params.samples_per_symbol().
 cvec dechirp(const css_params& params, const cvec& symbol);
 
+/// Per-(num_bins, padding) factors of the Dirichlet window, tabulated
+/// by the distance d (padded bins) of a window element from the
+/// window's centre bin, for |d| <= half_width:
+///   cos/sin(πd/M), cos/sin(πd/padding), e^{-jπ(N-1)d/M}.
+/// With x_c = p - centre (the peak's fractional offset, |x_c| <= 1/2)
+/// every element's offset is x = x_c - d, so the kernel's three angles
+/// are angle differences that the table and three sincos at x_c
+/// resolve (see make_dechirped_tone_kernel). A table prepared for a
+/// given half-width serves every smaller window of the same (N, padding).
+struct tone_kernel_table {
+    std::size_t num_bins = 0;
+    std::size_t padding = 0;
+    std::size_t half_width = 0;  ///< largest |d| covered, padded bins
+    // Indexed by d + half_width.
+    std::vector<double> cos_m;
+    std::vector<double> sin_m;
+    std::vector<double> cos_p;
+    std::vector<double> sin_p;
+    cvec phase;
+
+    /// Makes the table cover windows of ±radius_bins chip bins (clamped
+    /// as make_dechirped_tone_kernel clamps) for (num_bins, padding).
+    /// A no-op when it already does; otherwise rebuilds it, reusing
+    /// capacity.
+    void prepare(std::size_t num_bins, std::size_t padding, std::size_t radius_bins);
+};
+
 /// The dechirp-to-tone identity, evaluated analytically (§3.2): a cyclic
 /// shift s plus a residual tone displacement δ dechirps to the complex
 /// tone e^{j2π (s+δ)/N · n}, whose zero-padded N-point FFT is a Dirichlet
@@ -59,7 +87,21 @@ cvec dechirp(const css_params& params, const cvec& symbol);
 /// matching fft_zero_padded of the synthesized tone; a truncated radius
 /// drops only far sidelobes (|X| ~ N/(π·Δbins) beyond Δ chip bins).
 ///
+/// The window is table-driven: three sincos at the peak's fractional
+/// offset, then per element the angle-difference identities over
+/// `table` (no recurrence, so no error accumulates), one divide, and
+/// the value built as magnitude · (cos, sin). The on-peak element keeps
+/// the |sin(πθ)| < 1e-12 → N guard. `table` must have been prepared
+/// for (num_bins, padding) and at least this radius.
+///
 /// `position_bins` = s + δ may be any real; it is wrapped modulo num_bins.
+std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
+                                       std::size_t radius_bins,
+                                       const tone_kernel_table& table);
+
+/// Convenience form: builds a local table for (num_bins, padding,
+/// radius_bins) and evaluates the same body. Allocates per call; hot
+/// loops keep a prepared table instead.
 std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
                                        std::size_t num_bins, std::size_t padding,
                                        std::size_t radius_bins);
@@ -84,7 +126,16 @@ std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
 /// single-tap window. With taps == {1} this reduces exactly to
 /// make_dechirped_tone_kernel. Exact up to the kernel truncation and
 /// the t-sample symbol-boundary effect of linear (vs cyclic) tap
-/// convolution, both below the truncation tolerance class.
+/// convolution, both below the truncation tolerance class. The window
+/// comes from the table-driven body; `table` must have been prepared
+/// for (num_bins, padding) and at least radius_bins.
+std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
+                                       std::uint32_t cyclic_shift, double tone_bins,
+                                       std::size_t radius_bins,
+                                       const tone_kernel_table& table,
+                                       cvec& kernel_scratch);
+
+/// Convenience form with a local table (allocates per call).
 std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
                                        std::uint32_t cyclic_shift, double tone_bins,
                                        std::size_t num_bins, std::size_t padding,

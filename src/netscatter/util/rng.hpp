@@ -17,6 +17,26 @@ namespace ns::util {
 /// xoshiro256** state. Returns the next value and advances `state`.
 std::uint64_t splitmix64_next(std::uint64_t& state);
 
+namespace detail {
+
+inline std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+}
+
+/// Ziggurat tables for the standard normal (Marsaglia & Tsang, 128
+/// equal-area layers over f(x) = exp(-x^2/2)), defined in rng.cpp;
+/// y[i] = f(x[i]). Layer i >= 1 is the rectangle
+/// [0, x[i]] x [y[i], y[i+1]]; layer 0 is the base rectangle plus the
+/// tail, through the pseudo width x[0]. x[128] = 0, y[128] = 1.
+inline constexpr int ziggurat_layers = 128;
+struct ziggurat_tables {
+    double x[ziggurat_layers + 1];
+    double y[ziggurat_layers + 1];
+};
+extern const ziggurat_tables ziggurat;
+
+}  // namespace detail
+
 /// Deterministic, portable random number generator (xoshiro256**).
 ///
 /// Satisfies the subset of the UniformRandomBitGenerator requirements we
@@ -35,8 +55,19 @@ public:
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
-    /// Next raw 64-bit value.
-    result_type operator()();
+    /// Next raw 64-bit value (xoshiro256** step; inline so per-bin draw
+    /// loops keep the state in registers).
+    result_type operator()() {
+        const std::uint64_t result = detail::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = detail::rotl(state_[3], 45);
+        return result;
+    }
 
     /// Uniform double in [0, 1).
     double uniform();
@@ -48,12 +79,27 @@ public:
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
     /// Standard normal sample (ziggurat, 128 layers). One raw 64-bit
-    /// draw and one multiply on the ~98% fast path; transcendentals only
-    /// in the wedge/tail rejection branches.
-    double gaussian();
+    /// draw and one multiply on the ~98% fast path, inline here;
+    /// transcendentals only in the out-of-line wedge/tail rejection.
+    double gaussian() {
+        // One raw draw supplies the layer (low 7 bits), the sign (bit 7)
+        // and a 53-bit magnitude uniform (bits 11..63) — disjoint bit
+        // fields, so index and magnitude are independent.
+        const std::uint64_t bits = (*this)();
+        const int i = static_cast<int>(bits & 127);
+        const double sign = (bits & 128) ? -1.0 : 1.0;
+        const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        const double x = u * detail::ziggurat.x[i];
+        // Strictly inside the next-narrower layer: under the curve for
+        // every y of this layer (and inside the base rectangle for i=0).
+        if (x < detail::ziggurat.x[i + 1]) return sign * x;
+        return gaussian_reject(bits);
+    }
 
     /// Normal sample with the given mean and standard deviation.
-    double gaussian(double mean, double stddev);
+    double gaussian(double mean, double stddev) {
+        return mean + stddev * gaussian();
+    }
 
     /// Exponential sample with the given mean. Requires mean > 0.
     double exponential(double mean);
@@ -86,6 +132,10 @@ public:
     rng fork();
 
 private:
+    /// gaussian()'s wedge/tail branch for a draw `bits` the fast path
+    /// did not accept; continues the identical stream.
+    double gaussian_reject(std::uint64_t bits);
+
     std::array<std::uint64_t, 4> state_{};
 };
 

@@ -6,10 +6,12 @@
 // loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <numbers>
 
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
@@ -187,6 +189,81 @@ TEST(tone_kernel, multipath_envelope_matches_sample_pipeline) {
             }
             EXPECT_LT(max_error, 1e-6 * static_cast<double>(n))
                 << "shift " << shift << " tone " << tone_hz;
+        }
+    }
+}
+
+TEST(tone_kernel, table_kernel_matches_closed_form) {
+    // Oracle: the direct Dirichlet formula, evaluated here element by
+    // element with its own wrap, centring and clamping,
+    //   X = sin(πx/P)/sin(πx/M) · (cos, sin)(π(N-1)x/M),
+    // against the table-driven window over spreading factors, paddings,
+    // radii (including one past N/2 that clamps to the full spectrum)
+    // and positions on the peak, half-way between bins, negative, past
+    // N (wrap) and just below N (near padded bin M).
+    for (const std::size_t sf : {7u, 9u, 12u}) {
+        const std::size_t n = std::size_t{1} << sf;
+        const double nd = static_cast<double>(n);
+        for (const std::size_t padding : {1u, 2u, 4u, 8u}) {
+            const std::size_t m_total = n * padding;
+            const double m_real = static_cast<double>(m_total);
+            ns::phy::tone_kernel_table table;
+            table.prepare(n, padding, n);
+            for (const std::size_t radius : {std::size_t{1}, std::size_t{16}, n / 2 + 3}) {
+                for (const double position :
+                     {0.0, 37.0, 37.5, 42.3, -3.25, -0.5, nd + 5.0,
+                      2.0 * nd + 7.75, nd - 0.5, nd - 1e-9}) {
+                    cvec kernel;
+                    const std::size_t first = ns::phy::make_dechirped_tone_kernel(
+                        kernel, position, radius, table);
+                    cvec wrapped;
+                    ASSERT_EQ(ns::phy::make_dechirped_tone_kernel(
+                                  wrapped, position, n, padding, radius),
+                              first);
+                    ASSERT_EQ(wrapped, kernel) << "local table differs";
+
+                    double p = position * static_cast<double>(padding);
+                    p -= std::floor(p / m_real) * m_real;
+                    const std::size_t half = std::min(radius * padding, m_total / 2);
+                    const std::size_t window = std::min(2 * half + 1, m_total);
+                    const auto centre = static_cast<std::ptrdiff_t>(std::llround(p));
+                    const std::ptrdiff_t first_signed =
+                        centre - static_cast<std::ptrdiff_t>(half);
+                    const auto m_signed = static_cast<std::ptrdiff_t>(m_total);
+                    const auto expected_first = static_cast<std::size_t>(
+                        ((first_signed % m_signed) + m_signed) % m_signed);
+                    ASSERT_EQ(first, expected_first)
+                        << "sf " << sf << " pad " << padding << " pos " << position;
+                    ASSERT_EQ(kernel.size(), window);
+
+                    double max_error = 0.0;
+                    for (std::size_t w = 0; w < window; ++w) {
+                        const double x =
+                            p - static_cast<double>(first_signed +
+                                                    static_cast<std::ptrdiff_t>(w));
+                        const double den = std::sin(std::numbers::pi * x / m_real);
+                        const double magnitude =
+                            std::abs(den) < 1e-12
+                                ? nd
+                                : std::sin(std::numbers::pi * x /
+                                           static_cast<double>(padding)) /
+                                      den;
+                        const double angle = std::numbers::pi * (nd - 1.0) * x / m_real;
+                        const cplx expected{magnitude * std::cos(angle),
+                                            magnitude * std::sin(angle)};
+                        max_error = std::max(max_error, std::abs(kernel[w] - expected));
+                    }
+                    EXPECT_LE(max_error, 1e-12 * nd)
+                        << "sf " << sf << " pad " << padding << " radius " << radius
+                        << " pos " << position;
+
+                    if (p == std::floor(p)) {
+                        // On-peak element: the θ -> 0 guard yields N exactly.
+                        EXPECT_EQ(std::abs(kernel[half]), nd)
+                            << "sf " << sf << " pad " << padding << " pos " << position;
+                    }
+                }
+            }
         }
     }
 }
@@ -471,6 +548,31 @@ TEST(fast_path_allocations, metrics_report_zero_steady_state_allocations) {
         << result.metrics.counter_value("alloc.steady_bytes") << " bytes";
 }
 
+TEST(fast_path_metrics, superpose_splits_into_plan_noise_and_sum) {
+    // Layer-by-layer accounting: on a serial run the kernel plan, the
+    // noise synthesis and the kernel sum are each timed, each nonzero,
+    // and nested inside the superpose phase.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 64, 9);
+    ns::sim::sim_config config;
+    config.rounds = 6;
+    config.seed = 4;
+    config.zero_padding = 4;
+    config.fidelity = ns::sim::phy_fidelity::symbol;
+    ns::sim::network_simulator sim(dep, config);
+    const ns::sim::sim_result result = sim.run();
+    ASSERT_EQ(result.fast_path_rounds, config.rounds);
+    const double plan = result.metrics.histogram_sum("phy.kernel_plan_s");
+    const double noise = result.metrics.histogram_sum("phy.noise_s");
+    const double sum = result.metrics.histogram_sum("phy.kernel_sum_s");
+    const double superpose = result.metrics.histogram_sum("round.superpose_s");
+    EXPECT_GT(plan, 0.0);
+    EXPECT_GT(noise, 0.0);
+    EXPECT_GT(sum, 0.0);
+    EXPECT_LE(plan + noise + sum, superpose)
+        << "plan " << plan << " noise " << noise << " sum " << sum;
+}
+
 // --------------------------- kernel batch: backend & thread identity --
 
 struct batch_round {
@@ -479,10 +581,11 @@ struct batch_round {
     ns::channel::symbol_domain_params sd;
 };
 
-batch_round make_batch_round(std::size_t devices, std::uint64_t seed) {
+batch_round make_batch_round(std::size_t devices, std::uint64_t seed,
+                             std::size_t zero_padding = 4) {
     const ns::phy::css_params phy = ns::phy::deployed_params();
     batch_round round;
-    round.sd.zero_padding = 4;
+    round.sd.zero_padding = zero_padding;
     round.sd.payload_symbols = 16;
     ns::util::rng rng(seed);
     round.bits.resize(devices);
@@ -545,15 +648,20 @@ TEST(kernel_batch, simd_backend_is_bit_identical_to_scalar_reference) {
     // bit-for-bit, not merely within rounding. On hosts without a vector
     // backend both runs take the scalar loop and the test is a tautology
     // (which is fine: the CI matrix pins at least one leg to each).
-    const batch_round round = make_batch_round(48, 31);
-    std::vector<cvec> scalar_spectra;
-    {
-        scoped_scalar_accumulation pin;
-        scalar_spectra = run_batch_round(round, nullptr);
+    // Every zero-padding factor the banded-noise FIR is instantiated
+    // for runs, so each residue-count instantiation is pinned.
+    for (const std::size_t padding : {2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(testing::Message() << "zero_padding " << padding);
+        const batch_round round = make_batch_round(48, 31, padding);
+        std::vector<cvec> scalar_spectra;
+        {
+            scoped_scalar_accumulation pin;
+            scalar_spectra = run_batch_round(round, nullptr);
+        }
+        const std::vector<cvec> dispatched = run_batch_round(round, nullptr);
+        expect_spectra_bit_identical(scalar_spectra, dispatched,
+                                     ns::channel::kernel_accumulate_backend());
     }
-    const std::vector<cvec> dispatched = run_batch_round(round, nullptr);
-    expect_spectra_bit_identical(scalar_spectra, dispatched,
-                                 ns::channel::kernel_accumulate_backend());
 }
 
 TEST(kernel_batch, intra_round_threads_are_bit_identical) {
