@@ -1,5 +1,6 @@
 #include "netscatter/channel/superposition.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -13,65 +14,394 @@
 
 namespace ns::channel {
 
+void chirp_template_cache::prepare(const ns::phy::css_params& params) {
+    if (params == params_ && by_shift_.size() == params.num_bins()) return;
+    params_ = params;
+    by_shift_.clear();
+    by_shift_.resize(params.num_bins());
+    built_ = 0;
+}
+
+const ns::phy::distributed_modulator& chirp_template_cache::at(std::uint32_t shift) {
+    ns::util::require(shift < by_shift_.size(),
+                      "combine: packet cyclic shift out of range");
+    auto& slot = by_shift_[shift];
+    if (!slot) {
+        slot.emplace(params_, shift);
+        ++built_;
+    }
+    return *slot;
+}
+
+namespace {
+
+/// frequency_shift_into's re-anchoring cadence: the tone phasor restarts
+/// from std::polar at every multiple of this local sample index.
+constexpr std::size_t reanchor_interval = 1024;
+
+/// Most contributions one sweep pass interleaves, so their phasor
+/// recurrences overlap in the pipeline.
+constexpr std::size_t max_group = 4;
+
+/// Explicit complex product (ac − bd, ad + bc): for finite operands
+/// exactly what std::complex returns, without its NaN-recovery branch.
+inline void cmul(double ar, double ai, double br, double bi, double& re, double& im) {
+    re = ar * br - ai * bi;
+    im = ar * bi + ai * br;
+}
+
+/// Two doubles, one per lane of a lane pair (GCC/Clang vector
+/// extension: element-wise IEEE arithmetic, so a pair computes exactly
+/// what two scalar lanes would).
+typedef double lane_pair __attribute__((vector_size(16)));
+
+/// out[i] += (src_l[i] · phasor_l) · gain_l, phasor_l *= rotation_l, for
+/// l = 0..G-1 in order — frequency_shift + scale + accumulate for one
+/// group of lanes whose phasors already sit at the first sample and see
+/// no re-anchor inside the n samples. Unshifted lanes skip the phasor:
+/// out[i] += src_l[i] · gain_l. Lanes are computed in pairs; the sums
+/// into out[i] stay in lane order.
+template <std::size_t G, bool Shifted>
+void sweep_lanes(cplx* out, std::size_t n, const cplx* const* src,
+                 sample_lane* const* lanes) {
+    constexpr std::size_t pairs = (G + 1) / 2;
+    const cplx* s[2 * pairs];
+    lane_pair gr[pairs], gi[pairs], rr[pairs], ri[pairs], pr[pairs], pi[pairs];
+    for (std::size_t p = 0; p < pairs; ++p) {
+        // An odd group pads its last pair with a copy of its last lane,
+        // computed but never added.
+        const std::size_t a = 2 * p;
+        const std::size_t b = std::min(2 * p + 1, G - 1);
+        s[a] = src[a];
+        s[a + 1] = src[b];
+        gr[p] = lane_pair{lanes[a]->gain.real(), lanes[b]->gain.real()};
+        gi[p] = lane_pair{lanes[a]->gain.imag(), lanes[b]->gain.imag()};
+        rr[p] = lane_pair{lanes[a]->rotation.real(), lanes[b]->rotation.real()};
+        ri[p] = lane_pair{lanes[a]->rotation.imag(), lanes[b]->rotation.imag()};
+        pr[p] = lane_pair{lanes[a]->phasor.real(), lanes[b]->phasor.real()};
+        pi[p] = lane_pair{lanes[a]->phasor.imag(), lanes[b]->phasor.imag()};
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        double ar = out[i].real();
+        double ai = out[i].imag();
+        for (std::size_t p = 0; p < pairs; ++p) {
+            lane_pair tr{s[2 * p][i].real(), s[2 * p + 1][i].real()};
+            lane_pair ti{s[2 * p][i].imag(), s[2 * p + 1][i].imag()};
+            if constexpr (Shifted) {
+                const lane_pair br = tr;
+                tr = br * pr[p] - ti * pi[p];
+                ti = br * pi[p] + ti * pr[p];
+            }
+            const lane_pair xr = tr * gr[p] - ti * gi[p];
+            const lane_pair xi = tr * gi[p] + ti * gr[p];
+            ar += xr[0];
+            ai += xi[0];
+            if (2 * p + 1 < G) {
+                ar += xr[1];
+                ai += xi[1];
+            }
+            if constexpr (Shifted) {
+                const lane_pair nr = pr[p] * rr[p] - pi[p] * ri[p];
+                const lane_pair ni = pr[p] * ri[p] + pi[p] * rr[p];
+                pr[p] = nr;
+                pi[p] = ni;
+            }
+        }
+        out[i] = {ar, ai};
+    }
+    if constexpr (Shifted) {
+        for (std::size_t l = 0; l < G; ++l) {
+            lanes[l]->phasor = {pr[l / 2][l % 2], pi[l / 2][l % 2]};
+            lanes[l]->phasor_at += n;
+        }
+    }
+}
+
+/// Up to max_group lanes sharing one window range [begin, end) and one
+/// kind (shifted or not), swept together.
+struct lane_group {
+    std::size_t size = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool shifted = false;
+    const cplx* src[max_group] = {};
+    sample_lane* lanes[max_group] = {};
+};
+
+/// Brings each shifted lane's phasor to its local sample at the group's
+/// first window sample the way the per-sample recurrence would have:
+/// re-anchored from std::polar at the last multiple of the interval,
+/// then advanced one rotation per sample — also across OFF symbols that
+/// were never accumulated. The lanes' catch-up chains run interleaved
+/// so their latencies overlap.
+void bring_phasors(lane_group& group) {
+    double pr[max_group], pi[max_group];
+    std::size_t steps[max_group];
+    std::size_t longest = 0;
+    for (std::size_t l = 0; l < group.size; ++l) {
+        sample_lane& lane = *group.lanes[l];
+        const std::size_t at = group.begin - lane.offset;
+        const std::size_t anchor = at - at % reanchor_interval;
+        if (lane.phasor_at <= anchor) {
+            lane.phasor = std::polar(1.0, lane.step * static_cast<double>(anchor));
+            lane.phasor_at = anchor;
+        }
+        steps[l] = at - lane.phasor_at;
+        longest = std::max(longest, steps[l]);
+        lane.phasor_at = at;
+        pr[l] = lane.phasor.real();
+        pi[l] = lane.phasor.imag();
+    }
+    for (std::size_t k = 0; k < longest; ++k) {
+        for (std::size_t l = 0; l < group.size; ++l) {
+            if (k < steps[l]) {
+                const cplx rotation = group.lanes[l]->rotation;
+                cmul(pr[l], pi[l], rotation.real(), rotation.imag(), pr[l], pi[l]);
+            }
+        }
+    }
+    for (std::size_t l = 0; l < group.size; ++l) {
+        group.lanes[l]->phasor = {pr[l], pi[l]};
+    }
+}
+
+void sweep_group(cplx* received, lane_group& group, std::uint64_t& elems) {
+    if (group.size == 0) return;
+    using kernel = void (*)(cplx*, std::size_t, const cplx* const*, sample_lane* const*);
+    static constexpr kernel shifted[max_group] = {
+        sweep_lanes<1, true>, sweep_lanes<2, true>, sweep_lanes<3, true>,
+        sweep_lanes<4, true>};
+    static constexpr kernel scaled[max_group] = {
+        sweep_lanes<1, false>, sweep_lanes<2, false>, sweep_lanes<3, false>,
+        sweep_lanes<4, false>};
+    if (group.shifted) bring_phasors(group);
+    const std::size_t n = group.end - group.begin;
+    (group.shifted ? shifted : scaled)[group.size - 1](received + group.begin, n,
+                                                       group.src, group.lanes);
+    elems += group.size * n;
+    group.size = 0;
+}
+
+/// Adds `lane`'s samples [begin, end) of the window (pointer `src` at
+/// window index `begin`) to the pending group, sweeping the group first
+/// when the lane cannot join it and afterwards when it is full.
+void add_to_group(cplx* received, lane_group& group, sample_lane& lane,
+                  const cplx* src, std::size_t begin, std::size_t end,
+                  std::uint64_t& elems) {
+    if (group.size > 0 &&
+        (group.shifted != lane.shifted || group.begin != begin || group.end != end)) {
+        sweep_group(received, group, elems);
+    }
+    group.shifted = lane.shifted;
+    group.begin = begin;
+    group.end = end;
+    group.src[group.size] = src;
+    group.lanes[group.size] = &lane;
+    if (++group.size == max_group) sweep_group(received, group, elems);
+}
+
+/// The chirp a template lane sends in packet symbol `symbol` — the
+/// distributed_modulator layout: preamble upchirps, preamble downchirps,
+/// then one upchirp per ON payload bit — or nullptr for an OFF symbol.
+const cplx* symbol_chirp(const sample_lane& lane, std::size_t symbol) {
+    constexpr std::size_t upchirps = ns::phy::distributed_modulator::preamble_upchirps;
+    constexpr std::size_t preamble = ns::phy::distributed_modulator::preamble_symbols;
+    if (symbol < upchirps) return lane.up;
+    if (symbol < preamble) return lane.down;
+    return lane.bits[symbol - preamble] != 0 ? lane.up : nullptr;
+}
+
+/// Writes one template packet into `out`, sample for sample what
+/// distributed_modulator::modulate_packet returns.
+void write_template_packet(const sample_lane& lane, std::size_t sps, cvec& out) {
+    const std::size_t symbols =
+        ns::phy::distributed_modulator::preamble_symbols + lane.bits.size();
+    out.resize(symbols * sps);
+    for (std::size_t s = 0; s < symbols; ++s) {
+        cplx* dst = out.data() + s * sps;
+        const cplx* src = symbol_chirp(lane, s);
+        if (src != nullptr) {
+            std::copy(src, src + sps, dst);
+        } else {
+            std::fill(dst, dst + sps, cplx{0.0, 0.0});
+        }
+    }
+}
+
+/// Per-contribution properties the planner needs, common to packets and
+/// waveforms.
+struct lane_source {
+    double snr_db = 0.0;
+    double timing_offset_s = 0.0;
+    double frequency_offset_hz = 0.0;
+    bool random_phase = true;
+    std::size_t sample_delay = 0;
+    std::span<const cplx> taps;
+    std::size_t samples = 0;  ///< local length of the contribution
+};
+
+/// Plans one contribution: amplitude, tone, filter staging, phase — the
+/// rng draws in combine()'s documented order (random taps, then phase). A filtered lane is staged once (template packet, shift,
+/// taps) and swept as a plain scaled waveform.
+void plan_lane(sample_lane lane, const lane_source& c, std::size_t length,
+               const ns::phy::css_params& params, const channel_config& config,
+               ns::util::rng& rng, channel_workspace& ws) {
+    const double power = config.noise_power * ns::util::db_to_linear(c.snr_db);
+    const double amplitude = std::sqrt(power);
+    const double tone_hz =
+        equivalent_tone_shift_hz(params, c.timing_offset_s, c.frequency_offset_hz);
+    std::size_t samples = c.samples;
+
+    const bool filtered = config.enable_multipath || !c.taps.empty();
+    if (filtered) {
+        std::span<const cplx> source;
+        if (lane.up != nullptr) {
+            write_template_packet(lane, params.samples_per_symbol(), ws.packet);
+            source = ws.packet;
+        } else {
+            source = std::span<const cplx>(lane.samples, samples);
+        }
+        if (tone_hz != 0.0) {
+            ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
+                                          ws.staged);
+            source = ws.staged;
+        }
+        cvec& out = ws.filtered_pool.acquire();
+        if (!c.taps.empty()) {
+            // Explicit per-device taps (e.g. a tap_delay_line whose
+            // state persists across rounds).
+            apply_multipath_into(source, c.taps, out);
+        } else {
+            const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
+            apply_multipath_into(source, taps, out);
+        }
+        lane.up = lane.down = nullptr;
+        lane.samples = out.data();
+        samples = out.size();
+    }
+
+    lane.gain = cplx{amplitude, 0.0};
+    if (c.random_phase) {
+        lane.gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
+    }
+    lane.shifted = !filtered && tone_hz != 0.0;
+    if (lane.shifted) {
+        ns::util::require(params.bandwidth_hz > 0.0,
+                          "combine: sample rate must be positive");
+        lane.step = 2.0 * std::numbers::pi * tone_hz / params.bandwidth_hz;
+        lane.rotation = std::polar(1.0, lane.step);
+    }
+    lane.offset = c.sample_delay;
+    if (lane.offset >= length) return;  // entirely past the window
+    lane.count = std::min(samples, length - lane.offset);
+    ws.lanes.push_back(lane);
+}
+
+}  // namespace
+
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace) {
+    return combine({}, contributions, length, params, config, rng, workspace);
+}
+
+const cvec& combine(std::span<const packet_contribution> packets,
+                    std::span<const tx_contribution> waveforms, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace) {
     cvec& received = workspace.received;
     received.assign(length, cplx{0.0, 0.0});
+    const std::size_t sps = params.samples_per_symbol();
+    constexpr std::size_t preamble = ns::phy::distributed_modulator::preamble_symbols;
 
-    for (const auto& tx : contributions) {
-        // Amplitude from SNR relative to the configured noise power.
-        const double power = config.noise_power * ns::util::db_to_linear(tx.snr_db);
-        const double amplitude = std::sqrt(power);
-
-        // View the contribution's samples; stage a modified copy only
-        // when a transform actually rewrites them. The common case (no
-        // shift, no multipath) used to deep-copy the full packet per
-        // device — the dominant allocation of a high-concurrency round.
-        std::span<const cplx> source = tx.waveform;
-
-        // Residual sub-sample timing offset and CFO act as a common tone
-        // shift after dechirping; apply it to the time-domain waveform.
-        const double tone_hz =
-            equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
-
-        const bool filtered = config.enable_multipath || !tx.taps.empty();
-        if (filtered) {
-            if (tone_hz != 0.0) {
-                ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
-                                              workspace.staged);
-                source = workspace.staged;
-            }
-            if (!tx.taps.empty()) {
-                // Explicit per-device taps (e.g. a tap_delay_line whose
-                // state persists across rounds).
-                apply_multipath_into(source, tx.taps, workspace.filtered);
-            } else {
-                const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
-                apply_multipath_into(source, taps, workspace.filtered);
-            }
-            source = workspace.filtered;
-        }
-
-        cplx gain{amplitude, 0.0};
-        if (tx.random_phase) {
-            gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
-        }
-
-        if (!filtered && tone_hz != 0.0) {
-            // Fused shift + scale + accumulate: bit-identical to the
-            // staged sequence, without the intermediate buffer.
-            ns::dsp::accumulate_scaled_shifted(received, source, gain, tone_hz,
-                                               params.bandwidth_hz, tx.sample_delay);
-        } else {
-            ns::dsp::accumulate_scaled(received, source, gain, tx.sample_delay);
-        }
+    // --- Plan: serial, in contribution order (packets, then waveforms),
+    // drawing every random tap line and phase from `rng`.
+    workspace.lanes.clear();
+    workspace.filtered_pool.release_all();
+    workspace.templates.prepare(params);
+    for (const auto& packet : packets) {
+        const ns::phy::distributed_modulator& chirps =
+            workspace.templates.at(packet.cyclic_shift);
+        sample_lane lane;
+        lane.up = chirps.on_symbol().data();
+        lane.down = chirps.down_symbol().data();
+        lane.bits = packet.frame_bits;
+        plan_lane(lane,
+                  lane_source{.snr_db = packet.snr_db,
+                              .timing_offset_s = packet.timing_offset_s,
+                              .frequency_offset_hz = packet.frequency_offset_hz,
+                              .random_phase = packet.random_phase,
+                              .taps = packet.taps,
+                              .samples = (preamble + packet.frame_bits.size()) * sps},
+                  length, params, config, rng, workspace);
+    }
+    for (const auto& tx : waveforms) {
+        const std::span<const cplx> samples = tx.waveform;
+        sample_lane lane;
+        lane.samples = samples.data();
+        plan_lane(lane,
+                  lane_source{.snr_db = tx.snr_db,
+                              .timing_offset_s = tx.timing_offset_s,
+                              .frequency_offset_hz = tx.frequency_offset_hz,
+                              .random_phase = tx.random_phase,
+                              .sample_delay = tx.sample_delay,
+                              .taps = tx.taps,
+                              .samples = samples.size()},
+                  length, params, config, rng, workspace);
     }
 
+    // --- Sweep: the window in segments of one re-anchor interval, or of
+    // one symbol when symbols are shorter, so a template lane's segment
+    // lies inside one symbol and can re-anchor only at its first sample.
+    // Within a segment lanes are added in plan order — every window
+    // sample sums its contributions in contribution order, which is what
+    // makes the result equal the one-waveform-at-a-time sum bit for bit —
+    // and consecutive lanes are interleaved in groups. OFF
+    // symbols are skipped: their ±0 adds are no-ops on a sum that is
+    // never −0, and bring_phasors catches the recurrence up later.
+    const bool timed = workspace.obs.metrics != nullptr;
+    const std::uint64_t sweep_t0 = timed ? ns::obs::now_ns() : 0;
+    const std::size_t segment = std::min(sps, reanchor_interval);
+    std::uint64_t elems = 0;
+    lane_group group;
+    for (std::size_t begin = 0; begin < length; begin += segment) {
+        const std::size_t end = std::min(begin + segment, length);
+        for (sample_lane& lane : workspace.lanes) {
+            if (lane.up != nullptr) {
+                // Template packet: offset 0, local index == window index.
+                if (begin >= lane.count) continue;
+                const cplx* chirp = symbol_chirp(lane, begin / sps);
+                if (chirp == nullptr) continue;  // OFF symbol
+                add_to_group(received.data(), group, lane, chirp + begin % sps, begin,
+                             std::min(end, lane.count), elems);
+                continue;
+            }
+            // Flat waveform at its own offset: split where its local
+            // index crosses a re-anchor point.
+            const std::size_t first = std::max(begin, lane.offset);
+            const std::size_t last = std::min(end, lane.offset + lane.count);
+            for (std::size_t from = first; from < last;) {
+                const std::size_t local = from - lane.offset;
+                const std::size_t to =
+                    lane.shifted
+                        ? std::min(last, from + reanchor_interval - local % reanchor_interval)
+                        : last;
+                add_to_group(received.data(), group, lane, lane.samples + local, from, to,
+                             elems);
+                from = to;
+            }
+        }
+        sweep_group(received.data(), group, elems);
+    }
+    const std::uint64_t sweep_t1 = timed ? ns::obs::now_ns() : 0;
+
     add_noise(received, config.noise_power, rng);
-    if (workspace.obs.metrics != nullptr) {
-        workspace.obs.metrics->get_counter("phy.sample_waveforms")
-            ->add(contributions.size());
+    if (timed) {
+        ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
+        metrics.get_histogram("phy.sample_sum_s")->record_ns(sweep_t1 - sweep_t0);
+        metrics.get_histogram("phy.noise_s")->record_ns(ns::obs::now_ns() - sweep_t1);
+        metrics.get_counter("phy.sample_waveforms")->add(packets.size() + waveforms.size());
+        metrics.get_counter("phy.sample_elems")->add(elems);
     }
     return received;
 }

@@ -10,9 +10,14 @@
 // and matches how the paper reports Fig. 12.
 //
 // Two synthesis domains are provided:
-//  * combine() — sample domain: sums time-domain waveforms into the AP's
+//  * combine() — sample domain: sums time-domain signals into the AP's
 //    received baseband. Fully general (multipath, foreign interferers,
-//    arbitrary sample delays), cost O(devices x samples).
+//    arbitrary sample delays). NetScatter packets arrive symbolically
+//    (packet_contribution) and are accumulated straight from cached
+//    per-shift chirp templates — a distributed-CSS packet holds only
+//    the upchirp and the downchirp at its shift, plus silence (§3.1) —
+//    so no per-device waveform is built; OFF payload symbols cost
+//    nothing. Cost O(devices x ON samples).
 //  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
 //    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
 //    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
@@ -23,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,6 +39,7 @@
 #include "netscatter/obs/sink.hpp"
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
+#include "netscatter/phy/modulator.hpp"
 #include "netscatter/util/rng.hpp"
 
 namespace ns::engine {
@@ -82,9 +89,10 @@ struct tx_contribution {
 };
 
 /// Symbolic description of one standard NetScatter packet (preamble at
-/// the assigned shift + ON-OFF keyed payload) for the symbol-domain fast
-/// path: everything needed to synthesize the post-dechirp spectrum
-/// without ever materializing time-domain samples.
+/// the assigned shift + ON-OFF keyed payload), consumed by both synthesis
+/// paths: the symbol-domain fast path sums its post-dechirp Dirichlet
+/// kernels, the sample path accumulates its samples from the per-shift
+/// chirp templates. Neither materializes a per-device waveform.
 struct packet_contribution {
     std::uint32_t cyclic_shift = 0;
     /// Payload+CRC bits (one ON-OFF symbol per bit), non-owning. 0/1.
@@ -131,13 +139,59 @@ struct symbol_domain_params {
     std::size_t noise_interp_radius_bins = 4;
 };
 
+/// Per-shift chirp templates of the sample path: the upchirp and the
+/// downchirp a distributed-CSS device sends at one cyclic shift, built
+/// lazily the first time a packet uses the shift and kept afterwards
+/// (at most 2^SF entries). The samples are a distributed_modulator's,
+/// so template-built packets equal modulate_packet() bit for bit.
+class chirp_template_cache {
+public:
+    /// Sizes the cache for `params`; a change of params drops every
+    /// template. Call before at(): references handed out stay valid
+    /// until the next prepare() with different params.
+    void prepare(const ns::phy::css_params& params);
+    /// Templates at `shift` (< 2^SF), built on first use.
+    const ns::phy::distributed_modulator& at(std::uint32_t shift);
+    /// Number of shifts built so far.
+    std::size_t size() const { return built_; }
+
+private:
+    ns::phy::css_params params_{};
+    std::vector<std::optional<ns::phy::distributed_modulator>> by_shift_;
+    std::size_t built_ = 0;
+};
+
+/// One planned contribution of the sample-path sweep (see combine()):
+/// either a packet read from its shift's templates or a flat waveform,
+/// with its gain, tone and phasor recurrence state. Internal to
+/// combine(); it lives in the workspace so planning reuses capacity.
+struct sample_lane {
+    const cplx* up = nullptr;      ///< template packet: upchirp at the shift
+    const cplx* down = nullptr;    ///< template packet: downchirp at the shift
+    std::span<const std::uint8_t> bits;  ///< template packet: payload ON/OFF
+    const cplx* samples = nullptr;  ///< flat waveform (staged or caller's)
+    std::size_t offset = 0;        ///< window index of local sample 0
+    std::size_t count = 0;         ///< local samples inside the window
+    cplx gain{0.0, 0.0};
+    bool shifted = false;          ///< tone applied by the phasor recurrence
+    double step = 0.0;             ///< tone phase per sample (radians)
+    cplx rotation{1.0, 0.0};       ///< e^{j step}
+    cplx phasor{1.0, 0.0};         ///< recurrence value at local phasor_at
+    std::size_t phasor_at = 0;
+};
+
 /// Reusable per-round scratch of the superposition channel. One instance
 /// per simulator (NOT thread-safe); steady-state rounds allocate nothing
 /// once the buffers are warm.
 struct channel_workspace {
     cvec received;                  ///< combine() output buffer
-    cvec staged;                    ///< frequency-shift staging (multipath path)
-    cvec filtered;                  ///< multipath staging
+    cvec packet;                    ///< template-built packet (filtered lanes)
+    cvec staged;                    ///< frequency-shift staging (filtered lanes)
+    /// Multipath-filtered waveforms, one per filtered lane (span-stable
+    /// handout, see cvec_pool); released at the start of each combine().
+    ns::dsp::cvec_pool filtered_pool;
+    chirp_template_cache templates;  ///< sample-path per-shift chirps
+    std::vector<sample_lane> lanes;  ///< sample-path sweep plan
     std::vector<cvec> symbol_spectra;  ///< per-symbol accumulators (fast path):
                                        ///< preamble upchirps then payload symbols
     cvec kernel;                    ///< per-device Dirichlet window
@@ -157,13 +211,12 @@ struct channel_workspace {
     /// after the join.
     std::vector<std::uint64_t> block_noise_ns;
     std::vector<std::uint64_t> block_kernel_ns;
-    /// Sample-path per-device packet buffers (span-stable handout; see
-    /// cvec_pool). Release at the start of each round.
-    ns::dsp::cvec_pool packet_pool;
     /// Observability handles (non-owning; see obs_sink). When
     /// obs.metrics is set, the combiners count phy.kernels_summed /
     /// phy.fast_packets / phy.noise_symbols (fast path) and
-    /// phy.sample_waveforms (sample path); a wired obs.perf_kernel_sum
+    /// phy.sample_waveforms / phy.sample_elems (sample path) and time
+    /// phy.noise_s plus phy.kernel_plan_s / phy.kernel_sum_s (fast path)
+    /// or phy.sample_sum_s (sample path); a wired obs.perf_kernel_sum
     /// attributes the device-kernel batch (perf.kernel_sum.*) — the
     /// denominator of the roofline model. Same thread-confinement rule
     /// as the workspace itself.
@@ -177,11 +230,26 @@ struct channel_workspace {
     ns::engine::block_runner* block_pool = nullptr;
 };
 
-/// Combines all contributions into the AP's received baseband of length
-/// `length` samples and adds noise. Sub-sample timing offsets and CFO are
-/// applied via the equivalent tone shift; integer `sample_delay` shifts
-/// the waveform within the capture window. Returns a reference to
-/// `workspace.received` (valid until the next combine on the workspace).
+/// Combines `packets` and then `waveforms` into the AP's received
+/// baseband of length `length` samples and adds noise. Sub-sample timing
+/// offsets and CFO are applied via the equivalent tone shift; integer
+/// `sample_delay` shifts a waveform within the capture window; samples
+/// past the window are dropped. Packets are accumulated from the
+/// workspace's chirp templates (6 upchirps + 2 downchirps at the shift,
+/// then one upchirp per ON payload bit); a packet or waveform carrying
+/// taps (or every one, under config.enable_multipath) is staged and
+/// filtered first. The result is bit-identical to materializing every
+/// packet with distributed_modulator::modulate_packet and summing the
+/// waveforms one after another in the same order, and the rng draws
+/// follow that order (per contribution: random taps, then phase).
+/// Returns a reference to `workspace.received` (valid until the next
+/// combine on the workspace).
+const cvec& combine(std::span<const packet_contribution> packets,
+                    std::span<const tx_contribution> waveforms, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace);
+
+/// Waveform-only combine (no packets).
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace);

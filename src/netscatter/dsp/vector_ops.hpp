@@ -15,7 +15,7 @@ namespace ns::dsp {
 /// The outer vector may grow when a new buffer is acquired, but inner
 /// heap storage never moves (vector move steals the pointer), so spans
 /// into acquired buffers stay valid until the pool is released. Holders
-/// of this invariant: the superposition channel's per-round packet
+/// of this invariant: the superposition channel's filtered-contribution
 /// staging and the interference source's waveform storage.
 class cvec_pool {
 public:

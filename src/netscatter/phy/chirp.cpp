@@ -19,21 +19,27 @@ namespace {
 //
 // Phase is the exact discrete integral of the instantaneous frequency:
 //   phi[n] = 2*pi * ( (f0/fs) * n + slope * (n^2/(2N) - n/2) ).
-cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
-    const auto n_samples = params.samples_per_symbol();
+void write_chirp(const css_params& params, double cyclic_shift, double slope,
+                 std::span<cplx> out) {
     const double n_bins = static_cast<double>(params.num_bins());
     ns::util::require(std::abs(cyclic_shift) < n_bins + 1.0,
                       "make_chirp: cyclic shift out of range");
+    ns::util::require(out.size() == params.samples_per_symbol(),
+                      "make_chirp: output is not one symbol long");
     const double f0_norm = cyclic_shift / n_bins;  // f0 / fs
 
-    cvec chirp(n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
         const double n = static_cast<double>(i);
         const double phase =
             2.0 * std::numbers::pi *
             (f0_norm * n + slope * (n * n / (2.0 * n_bins) - n / 2.0));
-        chirp[i] = std::polar(1.0, phase);
+        out[i] = std::polar(1.0, phase);
     }
+}
+
+cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
+    cvec chirp(params.samples_per_symbol());
+    write_chirp(params, cyclic_shift, slope, chirp);
     return chirp;
 }
 
@@ -45,6 +51,11 @@ cvec make_upchirp(const css_params& params, double cyclic_shift) {
 
 cvec make_downchirp(const css_params& params, double cyclic_shift) {
     return make_chirp(params, cyclic_shift, -1.0);
+}
+
+void make_upchirp_into(const css_params& params, double cyclic_shift,
+                       std::span<cplx> out) {
+    write_chirp(params, cyclic_shift, +1.0, out);
 }
 
 cvec dechirp_reference(const css_params& params) {

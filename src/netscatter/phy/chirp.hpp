@@ -28,6 +28,11 @@ using ns::dsp::cvec;
 /// |shift| < 2^SF+1 for sanity), unit amplitude and zero initial phase.
 cvec make_upchirp(const css_params& params, double cyclic_shift = 0.0);
 
+/// make_upchirp written in place into `out`, which must hold exactly one
+/// symbol (same formula, so the samples are bit-identical).
+void make_upchirp_into(const css_params& params, double cyclic_shift,
+                       std::span<cplx> out);
+
 /// Generates one downchirp symbol (conjugate slope). `cyclic_shift` has
 /// the same meaning as for upchirps; NetScatter preambles transmit the
 /// device's assigned shift on downchirps too (§3.3.1).

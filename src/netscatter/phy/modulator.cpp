@@ -15,12 +15,20 @@ cvec lora_modulator::modulate_symbol(std::uint32_t value) const {
 
 cvec lora_modulator::modulate(const std::vector<std::uint32_t>& symbols) const {
     cvec out;
-    out.reserve(symbols.size() * params_.samples_per_symbol());
-    for (std::uint32_t value : symbols) {
-        const cvec symbol = modulate_symbol(value);
-        out.insert(out.end(), symbol.begin(), symbol.end());
-    }
+    modulate_into(symbols, out);
     return out;
+}
+
+void lora_modulator::modulate_into(const std::vector<std::uint32_t>& symbols,
+                                   cvec& out) const {
+    const std::size_t sps = params_.samples_per_symbol();
+    out.resize(symbols.size() * sps);
+    for (std::size_t i = 0; i < symbols.size(); ++i) {
+        ns::util::require(symbols[i] < params_.num_bins(),
+                          "lora_modulator: symbol out of range");
+        make_upchirp_into(params_, static_cast<double>(symbols[i]),
+                          std::span<cplx>(out).subspan(i * sps, sps));
+    }
 }
 
 std::vector<std::uint32_t> lora_modulator::bits_to_symbols(const std::vector<bool>& bits) const {
@@ -92,15 +100,8 @@ cvec distributed_modulator::modulate_preamble() const {
 }
 
 cvec distributed_modulator::modulate_packet(const std::vector<bool>& payload_bits) const {
-    cvec packet;
-    modulate_packet_into(payload_bits, packet);
-    return packet;
-}
-
-void distributed_modulator::modulate_packet_into(const std::vector<bool>& payload_bits,
-                                                 cvec& out) const {
     const std::size_t sps = params_.samples_per_symbol();
-    out.resize((preamble_symbols + payload_bits.size()) * sps);
+    cvec out((preamble_symbols + payload_bits.size()) * sps);
     auto cursor = out.begin();
     for (std::size_t i = 0; i < preamble_upchirps; ++i) {
         cursor = std::copy(on_symbol_.begin(), on_symbol_.end(), cursor);
@@ -115,6 +116,7 @@ void distributed_modulator::modulate_packet_into(const std::vector<bool>& payloa
             cursor = std::fill_n(cursor, sps, cplx{0.0, 0.0});
         }
     }
+    return out;
 }
 
 }  // namespace ns::phy

@@ -29,6 +29,11 @@ public:
     /// Modulates a symbol sequence (concatenated symbols).
     cvec modulate(const std::vector<std::uint32_t>& symbols) const;
 
+    /// modulate into a caller-provided buffer (resized; each chirp is
+    /// written in place, so a warm buffer makes repeated calls
+    /// allocation-free). Bit-identical to modulate().
+    void modulate_into(const std::vector<std::uint32_t>& symbols, cvec& out) const;
+
     /// Packs a bit sequence into SF-bit symbol values (MSB-first; the
     /// final symbol is zero-padded) and modulates it.
     cvec modulate_bits(const std::vector<bool>& bits) const;
@@ -61,6 +66,9 @@ public:
     /// Samples for one ON symbol (the assigned upchirp).
     const cvec& on_symbol() const { return on_symbol_; }
 
+    /// Samples for one preamble downchirp at the assigned shift.
+    const cvec& down_symbol() const { return down_symbol_; }
+
     /// Modulates a payload bit sequence: one symbol period per bit.
     cvec modulate_payload(const std::vector<bool>& bits) const;
 
@@ -70,12 +78,6 @@ public:
     /// Full packet: preamble followed by payload bits (the caller appends
     /// CRC to the bits beforehand; see ns::phy::frame).
     cvec modulate_packet(const std::vector<bool>& payload_bits) const;
-
-    /// modulate_packet into a caller-provided buffer (resized; capacity
-    /// reuse makes repeated calls allocation-free — the simulator stages
-    /// each round's packets in a reusable pool instead of allocating one
-    /// buffer per device per round).
-    void modulate_packet_into(const std::vector<bool>& payload_bits, cvec& out) const;
 
     std::uint32_t cyclic_shift() const { return cyclic_shift_; }
     const css_params& params() const { return params_; }

@@ -39,16 +39,17 @@ ns::channel::tx_contribution interference_source::make_lora_frame() {
     // A foreign classic-CSS frame: same (BW, SF) chirps carrying random
     // symbol values, misaligned by a random integer + fractional sample
     // offset, so its dechirped peaks are neither slot- nor bin-aligned.
+    // Symbol values and chirps are written into warm buffers: after the
+    // first frame an event allocates nothing.
     const ns::phy::lora_modulator modulator(phy_);
     const std::size_t sps = phy_.samples_per_symbol();
-    const std::size_t symbols = packet_samples_ / sps + 1;
-    std::vector<std::uint32_t> values(symbols);
-    for (auto& value : values) {
+    lora_values_.resize(packet_samples_ / sps + 1);
+    for (auto& value : lora_values_) {
         value = static_cast<std::uint32_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(phy_.num_bins()) - 1));
     }
     ns::dsp::cvec& waveform = waveform_pool_.acquire();
-    waveform = modulator.modulate(values);
+    modulator.modulate_into(lora_values_, waveform);
     ns::channel::tx_contribution tx;
     tx.waveform = std::span<const ns::dsp::cplx>(waveform);
     tx.snr_db = spec_.snr_db;

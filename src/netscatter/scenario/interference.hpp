@@ -51,6 +51,7 @@ private:
     /// Waveform storage behind the returned spans (span-stable handout;
     /// see ns::dsp::cvec_pool). Released at each step().
     ns::dsp::cvec_pool waveform_pool_;
+    std::vector<std::uint32_t> lora_values_;  ///< LoRa frame symbol scratch
 };
 
 /// A second NetScatter network sharing the band (cochannel_spec): the

@@ -238,7 +238,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         device_slot slot{
             .placement = placed[i],
             .device = ns::device::backscatter_device(placed[i].id, dev_params, rng_()),
-            .modulator = std::nullopt,  // built lazily on first transmission
             .fading = ns::channel::gauss_markov_fading(config_.fading_sigma_db,
                                                        config_.fading_rho, rng_.fork()),
             .tof_s = std::hypot(placed[i].x_m - ap_x, placed[i].y_m - ap_y) /
@@ -511,7 +510,6 @@ void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shi
     const bool weak = baseline_rssi_dbm < slot.device.params().low_rssi_threshold_dbm;
     const std::size_t gain_level =
         weak ? network.max_level() : network.middle_level();
-    slot.modulator.reset();  // rebuilt lazily at the new shift on first use
     slot.device.force_associate(shift, baseline_rssi_dbm, gain_level);
     allocation_[slot.placement.id] = shift;
 }
@@ -920,8 +918,6 @@ sim_result network_simulator::run() {
         std::optional<ns::obs::perf_scope> phase_perf;
         phase_span.emplace("synth", &trace_, probes_.synth, round_arg);
         phase_perf.emplace(&perf_group_, &probes_.perf_synth);
-        chan_ws_.packet_pool.release_all();
-        contributions_.clear();
         packet_contribs_.clear();
         frame_bits_store_.clear();
         for (std::uint32_t shift : tx_row_shift_) sent_row_of_shift_[shift] = -1;
@@ -1097,34 +1093,17 @@ sim_result network_simulator::run() {
             const double frequency_offset_hz =
                 intent.frequency_offset_hz + slot.doppler_hz;
 
-            if (fast_path) {
-                // Symbol domain: no modulator, no waveform — the frame
-                // bits span is attached after the loop (the flat store
-                // may still grow while transmitters are collected).
-                ns::channel::packet_contribution packet;
-                packet.cyclic_shift = tx_shift;
-                packet.snr_db = uplink_dbm - noise_floor;
-                packet.timing_offset_s = timing_offset_s;
-                packet.frequency_offset_hz = frequency_offset_hz;
-                if (slot.taps) packet.taps = slot.taps->current();
-                packet_contribs_.push_back(packet);
-            } else {
-                if (!slot.modulator) {
-                    // At the transmit shift, which is the stale one while
-                    // desynced (associate_slot / resync reset the cache,
-                    // so it can never linger across a shift change).
-                    slot.modulator.emplace(config_.phy, tx_shift);
-                }
-                ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-                slot.modulator->modulate_packet_into(frame_scratch_, packet_buffer);
-                ns::channel::tx_contribution tx;
-                tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-                tx.snr_db = uplink_dbm - noise_floor;
-                tx.timing_offset_s = timing_offset_s;
-                tx.frequency_offset_hz = frequency_offset_hz;
-                if (slot.taps) tx.taps = slot.taps->current();
-                contributions_.push_back(tx);
-            }
+            // One symbolic packet for either fidelity: no modulator, no
+            // waveform — the frame bits span is attached after the loop
+            // (the flat store may still grow while transmitters are
+            // collected).
+            ns::channel::packet_contribution packet;
+            packet.cyclic_shift = tx_shift;
+            packet.snr_db = uplink_dbm - noise_floor;
+            packet.timing_offset_s = timing_offset_s;
+            packet.frequency_offset_hz = frequency_offset_hz;
+            if (slot.taps) packet.taps = slot.taps->current();
+            packet_contribs_.push_back(packet);
             ++outcome.transmitting;
             if (fault_injector_ && !slot.desynced) {
                 // The AP decoded activity on this device's assigned
@@ -1186,21 +1165,20 @@ sim_result network_simulator::run() {
             }
         }
 
-        // Superpose and decode.
+        // Superpose and decode. Attach the frame-bit spans now that the
+        // flat store is final; the co-channel network's packets join as
+        // ordinary packets — kernels at their displaced positions on the
+        // fast path, template chirps on the sample path.
+        for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
+            packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
+                frame_bits_store_.data() + row * frame_bits, frame_bits);
+        }
+        for (const auto& foreign : plan.cochannel) {
+            packet_contribs_.push_back(foreign);
+        }
         ns::channel::channel_config chan;
         chan.noise_power = 1.0;
         if (fast_path) {
-            // Attach the frame-bit spans now that the flat store is
-            // final, then synthesize post-dechirp spectra directly. The
-            // co-channel network's packets join the accumulators as
-            // ordinary kernels at their displaced positions.
-            for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
-                packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
-                    frame_bits_store_.data() + row * frame_bits, frame_bits);
-            }
-            for (const auto& foreign : plan.cochannel) {
-                packet_contribs_.push_back(foreign);
-            }
             ns::channel::symbol_domain_params sd;
             sd.zero_padding = config_.zero_padding;
             sd.preamble_upchirps = ns::phy::distributed_modulator::preamble_upchirps;
@@ -1215,38 +1193,11 @@ sim_result network_simulator::run() {
                                           decode_ws_);
             ++result.fast_path_rounds;
         } else {
-            // Co-channel packets are synthesized as real waveforms here:
-            // a cached modulator per foreign shift, the same symbolic
-            // description the fast path consumes — the two fidelities
-            // superpose the identical foreign transmission.
-            for (const auto& foreign : plan.cochannel) {
-                const auto mod_it =
-                    foreign_modulators_
-                        .try_emplace(foreign.cyclic_shift, config_.phy,
-                                     foreign.cyclic_shift)
-                        .first;
-                frame_scratch_.resize(foreign.frame_bits.size());
-                for (std::size_t i = 0; i < foreign.frame_bits.size(); ++i) {
-                    frame_scratch_[i] = foreign.frame_bits[i] != 0;
-                }
-                ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-                mod_it->second.modulate_packet_into(frame_scratch_, packet_buffer);
-                ns::channel::tx_contribution tx;
-                tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-                tx.snr_db = foreign.snr_db;
-                tx.timing_offset_s = foreign.timing_offset_s;
-                tx.frequency_offset_hz = foreign.frequency_offset_hz;
-                tx.random_phase = foreign.random_phase;
-                tx.taps = foreign.taps;
-                contributions_.push_back(tx);
-            }
-            // In-band interferers (scenario-injected) share the channel.
-            for (const auto& interferer : plan.interference) {
-                contributions_.push_back(interferer);
-            }
+            // In-band interferers (scenario-injected) share the channel
+            // after the packets.
             const ns::dsp::cvec& received = ns::channel::combine(
-                std::span<const ns::channel::tx_contribution>(contributions_),
-                packet_samples, config_.phy, chan, rng_, chan_ws_);
+                packet_contribs_, plan.interference, packet_samples, config_.phy,
+                chan, rng_, chan_ws_);
             phase_span.emplace("decode", &trace_, probes_.decode, round_arg);
             phase_perf.emplace(&perf_group_, &probes_.perf_decode);
             receiver_.decode_into(received, 0, decoded_, decode_ws_);

@@ -43,8 +43,8 @@ namespace ns::sim {
 /// offset), so rounds without sample-level effects can skip time-domain
 /// synthesis, the per-device forward FFTs and every intermediate buffer.
 enum class phy_fidelity {
-    /// Always synthesize time-domain waveforms and decode from samples.
-    /// Bit-identical to the historic simulator.
+    /// Always superpose in the time domain (packets from per-shift chirp
+    /// templates) and decode from samples.
     sample,
     /// Always use the symbol-domain fast path. Throws if a round injects
     /// sample-level interference (not representable as a post-dechirp
@@ -376,11 +376,6 @@ private:
     struct device_slot {
         placed_device placement;
         ns::device::backscatter_device device;
-        /// Built lazily on first transmission (and rebuilt after a shift
-        /// change): inactive and unscheduled devices never pay the
-        /// per-shift chirp table, which is what lets a 10k-device
-        /// universe fit per-replica memory.
-        std::optional<ns::phy::distributed_modulator> modulator;
         ns::channel::gauss_markov_fading fading;
         /// Per-device multipath state (model_multipath only); advanced
         /// every round like fading so a device's channel time series is
@@ -592,7 +587,6 @@ private:
     ns::channel::channel_workspace chan_ws_;
     ns::rx::decode_workspace decode_ws_;
     ns::rx::decode_result decoded_;
-    std::vector<ns::channel::tx_contribution> contributions_;
     std::vector<ns::channel::packet_contribution> packet_contribs_;
     std::vector<bool> payload_scratch_;
     std::vector<bool> frame_scratch_;
@@ -609,10 +603,6 @@ private:
     /// complement is the orphaned transmissions — stale or collided
     /// shifts the schedule no longer decodes.
     std::vector<std::uint8_t> row_scored_;
-    /// Modulators for co-channel packets on the sample path, keyed by
-    /// foreign cyclic shift (the fast path never materializes them).
-    std::unordered_map<std::uint32_t, ns::phy::distributed_modulator>
-        foreign_modulators_;
 };
 
 }  // namespace ns::sim

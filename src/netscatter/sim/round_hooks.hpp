@@ -48,7 +48,7 @@ struct round_plan {
     /// Co-channel NetScatter packets: a second AP's network (distinct
     /// network_id) sharing the band. Being standard packets they are
     /// described symbolically and superposed on EITHER synthesis path —
-    /// the sample path modulates them, the fast path sums their
+    /// the sample path sums their chirp templates, the fast path their
     /// Dirichlet kernels — so co-channel rounds stay fast-path eligible.
     /// frame_bits/taps spans must stay valid until the round completes
     /// (the producing source typically owns the storage per round).

@@ -2,9 +2,13 @@
 // superposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <span>
+#include <string>
 
 #include "netscatter/channel/awgn.hpp"
 #include "netscatter/channel/fading.hpp"
@@ -18,6 +22,7 @@
 #include "netscatter/phy/modulator.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/stats.hpp"
+#include "netscatter/util/units.hpp"
 
 namespace {
 
@@ -554,6 +559,269 @@ TEST(superposition, fused_accumulate_matches_staged_sequence) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(expected[i], fused[i]) << "sample " << i;
     }
+}
+
+// ------------------------ template sweep vs. materialized packets --
+// combine() accumulates packets straight from per-shift chirp templates
+// in a tiled, interleaved sweep. The reference below is the direct
+// pipeline, written out independently: materialize every packet with
+// modulate_packet, then per contribution draw taps and phase from the
+// rng and shift / filter / scale / accumulate it with the vector_ops
+// primitives, then add noise. The two must agree bit for bit.
+
+cvec reference_combine(std::span<const packet_contribution> packets,
+                       std::span<const tx_contribution> waveforms, std::size_t length,
+                       const ns::phy::css_params& params, const channel_config& config,
+                       ns::util::rng& rng) {
+    std::vector<cvec> modulated;
+    modulated.reserve(packets.size());
+    for (const auto& packet : packets) {
+        std::vector<bool> bits;
+        for (const std::uint8_t bit : packet.frame_bits) bits.push_back(bit != 0);
+        modulated.push_back(ns::phy::distributed_modulator(params, packet.cyclic_shift)
+                                .modulate_packet(bits));
+    }
+    std::vector<tx_contribution> all;
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+        tx_contribution tx;
+        tx.waveform = std::span<const cplx>(modulated[i]);
+        tx.snr_db = packets[i].snr_db;
+        tx.timing_offset_s = packets[i].timing_offset_s;
+        tx.frequency_offset_hz = packets[i].frequency_offset_hz;
+        tx.random_phase = packets[i].random_phase;
+        tx.taps = packets[i].taps;
+        all.push_back(tx);
+    }
+    all.insert(all.end(), waveforms.begin(), waveforms.end());
+
+    cvec received(length, cplx{0.0, 0.0});
+    cvec staged, filtered;
+    for (const auto& tx : all) {
+        const double amplitude =
+            std::sqrt(config.noise_power * ns::util::db_to_linear(tx.snr_db));
+        std::span<const cplx> source = tx.waveform;
+        const double tone_hz =
+            equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
+        const bool is_filtered = config.enable_multipath || !tx.taps.empty();
+        if (is_filtered) {
+            if (tone_hz != 0.0) {
+                ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
+                                              staged);
+                source = staged;
+            }
+            if (!tx.taps.empty()) {
+                apply_multipath_into(source, tx.taps, filtered);
+            } else {
+                const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
+                apply_multipath_into(source, taps, filtered);
+            }
+            source = filtered;
+        }
+        cplx gain{amplitude, 0.0};
+        if (tx.random_phase) {
+            gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
+        }
+        if (!is_filtered && tone_hz != 0.0) {
+            ns::dsp::accumulate_scaled_shifted(received, source, gain, tone_hz,
+                                               params.bandwidth_hz, tx.sample_delay);
+        } else {
+            ns::dsp::accumulate_scaled(received, source, gain, tx.sample_delay);
+        }
+    }
+    add_noise(received, config.noise_power, rng);
+    return received;
+}
+
+/// Runs combine() and the reference on the same inputs and rng seed;
+/// both the received buffers and the rng streams afterwards must match.
+void expect_sweep_matches_reference(std::span<const packet_contribution> packets,
+                                    std::span<const tx_contribution> waveforms,
+                                    std::size_t length, const ns::phy::css_params& params,
+                                    const channel_config& config,
+                                    const std::string& label) {
+    ns::util::rng rng_ref(4242);
+    const cvec expected = reference_combine(packets, waveforms, length, params, config,
+                                            rng_ref);
+    ns::util::rng rng_new(4242);
+    channel_workspace ws;
+    const cvec& produced = combine(packets, waveforms, length, params, config, rng_new, ws);
+    ASSERT_EQ(produced.size(), expected.size()) << label;
+    EXPECT_EQ(std::memcmp(produced.data(), expected.data(),
+                          expected.size() * sizeof(cplx)),
+              0)
+        << label;
+    EXPECT_EQ(rng_new(), rng_ref()) << label << ": rng streams diverged";
+}
+
+enum class bit_pattern { zeros, ones, odd_off, even_off, random };
+enum class tone_mode { none, all, mixed };
+
+/// `count` packets at spread-out shifts (a few repeated, as co-channel
+/// packets landing on a local shift would); tone offsets per `tones`;
+/// random phase on two lanes of three.
+struct packet_set {
+    std::vector<std::uint8_t> bits;
+    std::vector<packet_contribution> packets;
+};
+
+packet_set make_packets(const ns::phy::css_params& params, std::size_t count,
+                        std::size_t frame_bits, bit_pattern pattern, tone_mode tones,
+                        std::uint64_t seed) {
+    ns::util::rng gen(seed);
+    packet_set set;
+    set.bits.resize(count * frame_bits);
+    for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t b = 0; b < frame_bits; ++b) {
+            std::uint8_t bit = 0;
+            switch (pattern) {
+                case bit_pattern::zeros: bit = 0; break;
+                case bit_pattern::ones: bit = 1; break;
+                case bit_pattern::odd_off: bit = b % 2 == 0 ? 1 : 0; break;
+                case bit_pattern::even_off: bit = b % 2 == 0 ? 0 : 1; break;
+                case bit_pattern::random: bit = gen.bernoulli(0.5) ? 1 : 0; break;
+            }
+            set.bits[i * frame_bits + b] = bit;
+        }
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        packet_contribution packet;
+        packet.cyclic_shift =
+            static_cast<std::uint32_t>((i * 37 + 5) % std::min<std::size_t>(
+                                                         params.num_bins(), 101));
+        packet.frame_bits = std::span<const std::uint8_t>(
+            set.bits.data() + i * frame_bits, frame_bits);
+        packet.snr_db = gen.uniform(-5.0, 25.0);
+        const bool toned = tones == tone_mode::all || (tones == tone_mode::mixed && i % 2 == 1);
+        if (toned) {
+            packet.timing_offset_s = gen.uniform(-3e-6, 3e-6);
+            packet.frequency_offset_hz = gen.uniform(-400.0, 400.0);
+        }
+        packet.random_phase = i % 3 != 0;
+        set.packets.push_back(packet);
+    }
+    return set;
+}
+
+TEST(sample_sweep, template_packets_match_materialized_pipeline_bit_for_bit) {
+    // SF 7/9 have symbols shorter than / equal to half the re-anchor
+    // interval, SF 10 equal to it, SF 12 longer; the bit patterns put
+    // OFF symbols on even and odd positions; the counts leave ragged
+    // groups of the interleaved sweep.
+    for (const int sf : {7, 9, 10, 12}) {
+        const ns::phy::css_params params{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        const std::size_t frame_bits = sf >= 10 ? 6 : 20;
+        const std::size_t length = (8 + frame_bits) * params.samples_per_symbol();
+        std::vector<std::size_t> counts = {1, 3, 4, 5};
+        if (sf <= 9) counts.push_back(130);
+        for (const std::size_t count : counts) {
+            for (const bit_pattern pattern :
+                 {bit_pattern::zeros, bit_pattern::ones, bit_pattern::odd_off,
+                  bit_pattern::even_off, bit_pattern::random}) {
+                for (const tone_mode tones : {tone_mode::none, tone_mode::all,
+                                              tone_mode::mixed}) {
+                    const packet_set set =
+                        make_packets(params, count, frame_bits, pattern, tones,
+                                     static_cast<std::uint64_t>(sf * 1000 + count));
+                    const std::string label =
+                        "sf " + std::to_string(sf) + " count " + std::to_string(count) +
+                        " pattern " + std::to_string(static_cast<int>(pattern)) +
+                        " tones " + std::to_string(static_cast<int>(tones));
+                    expect_sweep_matches_reference(set.packets, {}, length, params,
+                                                   channel_config{}, label);
+                }
+            }
+        }
+    }
+}
+
+TEST(sample_sweep, taps_interferers_and_cochannel_match_materialized_pipeline) {
+    for (const int sf : {7, 9, 10}) {
+        const ns::phy::css_params params{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        const std::size_t sps = params.samples_per_symbol();
+        const std::size_t frame_bits = 8;
+        const std::size_t length = (8 + frame_bits) * sps;
+        packet_set local = make_packets(params, 6, frame_bits, bit_pattern::random,
+                                        tone_mode::mixed, 77);
+        // One local packet rides a fixed tap line.
+        const cvec taps{cplx{0.9, 0.1}, cplx{0.0, 0.0}, cplx{-0.2, 0.3}};
+        local.packets[2].taps = taps;
+        // Co-channel packets: a foreign frame length (truncated by the
+        // window), one at a shift a local packet also uses.
+        packet_set foreign = make_packets(params, 3, frame_bits + 3, bit_pattern::random,
+                                          tone_mode::all, 78);
+        foreign.packets[0].cyclic_shift = local.packets[1].cyclic_shift;
+        std::vector<packet_contribution> packets = local.packets;
+        packets.insert(packets.end(), foreign.packets.begin(), foreign.packets.end());
+
+        // Interferers: a shifted one misaligned by a non-multiple of the
+        // re-anchor interval and overrunning the window, an unshifted
+        // one with a delay, and a tapped one.
+        ns::util::rng gen(79);
+        cvec lora(length + 3 * sps), tone(length / 2), tapped(length);
+        for (auto& v : lora) v = cplx{gen.gaussian(), gen.gaussian()};
+        for (auto& v : tone) v = cplx{gen.gaussian(), gen.gaussian()};
+        for (auto& v : tapped) v = cplx{gen.gaussian(), gen.gaussian()};
+        std::vector<tx_contribution> waveforms(3);
+        waveforms[0].waveform = std::span<const cplx>(lora);
+        waveforms[0].snr_db = 4.0;
+        waveforms[0].timing_offset_s = 1.7e-4;
+        waveforms[0].sample_delay = sps / 2 + 333;
+        waveforms[1].waveform = std::span<const cplx>(tone);
+        waveforms[1].snr_db = -2.0;
+        waveforms[1].random_phase = false;
+        waveforms[1].sample_delay = length - 10;
+        waveforms[2].waveform = std::span<const cplx>(tapped);
+        waveforms[2].snr_db = 1.0;
+        waveforms[2].frequency_offset_hz = 250.0;
+        waveforms[2].taps = taps;
+
+        for (const bool multipath : {false, true}) {
+            channel_config config;
+            config.noise_power = 0.5;
+            config.enable_multipath = multipath;
+            const std::string label = "sf " + std::to_string(sf) + " multipath " +
+                                      std::to_string(multipath);
+            expect_sweep_matches_reference(packets, waveforms, length, params, config,
+                                           label);
+            // A window shorter than the packets truncates every lane.
+            expect_sweep_matches_reference(packets, waveforms, length - sps - 7, params,
+                                           config, label + " short window");
+            expect_sweep_matches_reference({}, waveforms, length, params, config,
+                                           label + " waveforms only");
+        }
+    }
+}
+
+TEST(sample_sweep, templates_are_built_once_per_shift) {
+    const ns::phy::css_params params{.bandwidth_hz = 500e3, .spreading_factor = 7};
+    const packet_set set = make_packets(params, 130, 4, bit_pattern::ones,
+                                        tone_mode::none, 5);
+    std::vector<std::uint32_t> shifts;
+    for (const auto& packet : set.packets) shifts.push_back(packet.cyclic_shift);
+    std::sort(shifts.begin(), shifts.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(shifts.begin(), shifts.end()) - shifts.begin());
+
+    channel_workspace ws;
+    ns::util::rng gen(6);
+    const std::size_t length = 12 * params.samples_per_symbol();
+    combine(set.packets, {}, length, params, channel_config{}, gen, ws);
+    EXPECT_EQ(ws.templates.size(), distinct);
+    EXPECT_LE(ws.templates.size(), params.num_bins());
+    combine(set.packets, {}, length, params, channel_config{}, gen, ws);
+    EXPECT_EQ(ws.templates.size(), distinct);
+    // A different SF drops the old templates.
+    const ns::phy::css_params other{.bandwidth_hz = 500e3, .spreading_factor = 8};
+    packet_contribution one = set.packets[0];
+    combine(std::span<const packet_contribution>(&one, 1), {},
+            12 * other.samples_per_symbol(), other, channel_config{}, gen, ws);
+    EXPECT_EQ(ws.templates.size(), 1u);
+
+    packet_contribution bad = one;
+    bad.cyclic_shift = static_cast<std::uint32_t>(other.num_bins());
+    EXPECT_THROW(combine(std::span<const packet_contribution>(&bad, 1), {}, 16, other,
+                         channel_config{}, gen, ws),
+                 ns::util::error);
 }
 
 TEST(superposition, symbol_domain_single_device_spectra_match_demodulator) {

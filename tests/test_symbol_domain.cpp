@@ -24,6 +24,7 @@
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/demodulator.hpp"
 #include "netscatter/phy/modulator.hpp"
+#include "netscatter/scenario/interference.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/rng.hpp"
@@ -571,6 +572,55 @@ TEST(fast_path_metrics, superpose_splits_into_plan_noise_and_sum) {
     EXPECT_GT(sum, 0.0);
     EXPECT_LE(plan + noise + sum, superpose)
         << "plan " << plan << " noise " << noise << " sum " << sum;
+}
+
+TEST(sample_path_metrics, superpose_splits_into_sweep_and_noise) {
+    // The sample path times its tiled sweep and its thermal noise inside
+    // the superpose phase, and counts the samples it accumulated (OFF
+    // payload symbols excluded).
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 64, 9);
+    ns::sim::sim_config config;
+    config.rounds = 4;
+    config.seed = 4;
+    config.fidelity = ns::sim::phy_fidelity::sample;
+    ns::sim::network_simulator sim(dep, config);
+    const ns::sim::sim_result result = sim.run();
+    ASSERT_EQ(result.fast_path_rounds, 0u);
+    const double sum = result.metrics.histogram_sum("phy.sample_sum_s");
+    const double noise = result.metrics.histogram_sum("phy.noise_s");
+    const double superpose = result.metrics.histogram_sum("round.superpose_s");
+    EXPECT_GT(sum, 0.0);
+    EXPECT_GT(noise, 0.0);
+    EXPECT_LE(sum + noise, superpose) << "sum " << sum << " noise " << noise;
+
+    // Every transmitted packet contributes its 8 preamble symbols and its
+    // ON payload symbols — at most all of them.
+    const std::uint64_t tx = result.metrics.counter_value("sim.tx_packets");
+    const std::uint64_t elems = result.metrics.counter_value("phy.sample_elems");
+    const std::uint64_t sps = config.phy.samples_per_symbol();
+    ASSERT_GT(tx, 0u);
+    EXPECT_GT(elems, tx * 8 * sps);
+    EXPECT_LT(elems, tx * config.frame.netscatter_symbols() * sps);
+}
+
+TEST(interference_allocations, lora_frame_step_allocates_only_the_returned_vector) {
+    // A LoRa interferer writes its symbol values and chirps into warm
+    // buffers: once the first frame has sized them, each further event
+    // allocates nothing but the returned contribution vector.
+    ns::scenario::interference_spec spec;
+    spec.kind = ns::scenario::interference_kind::lora_frame;
+    spec.burst_probability = 1.0;
+    const ns::phy::css_params phy = ns::phy::deployed_params();
+    ns::scenario::interference_source source(spec, phy, 48 * phy.samples_per_symbol(), 7);
+    ASSERT_EQ(source.step(0).size(), 1u);
+    for (std::size_t round = 1; round <= 4; ++round) {
+        const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+        const auto contributions = source.step(round);
+        const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+        ASSERT_EQ(contributions.size(), 1u);
+        EXPECT_EQ(after - before, 1u) << "round " << round;
+    }
 }
 
 // --------------------------- kernel batch: backend & thread identity --
