@@ -46,7 +46,7 @@ inline void write_scenario_json(
     bench::bench_report report("scenario_" + result.spec.name);
     // One shared predicate (ns::obs::is_timing_name) decides what
     // "timing" means: the report writer drops every timing-named scalar
-    // and point field at write() time, so synth_wall_s, decode_wall_s
+    // and point field at write() time, so wall_clock_s, round_time_s
     // and the per-round query_time_s all strip together — a new timer
     // anywhere in the stack can never regress a determinism diff.
     report.set_strip_timing(strip_wallclock);
@@ -109,11 +109,6 @@ inline void write_scenario_json(
     report.set_scalar("fast_path_rounds",
                       static_cast<double>(result.sim.fast_path_rounds));
     report.set_scalar("wall_clock_s", result.wall_clock_s);
-    // Host-time split of the round loop (transmit-side synthesis vs
-    // receiver decode), summed over all replica rounds — registry-backed
-    // (sums of the round.*_s phase histograms).
-    report.set_scalar("synth_wall_s", result.sim.synth_wall_s);
-    report.set_scalar("decode_wall_s", result.sim.decode_wall_s);
     // Fault/recovery scalars appear only when the spec injects faults:
     // a fault-free run's JSON stays byte-for-byte what it was before the
     // fault layer existed.

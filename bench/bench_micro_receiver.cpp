@@ -100,9 +100,14 @@ fidelity_point run_fidelity(std::size_t devices, std::size_t rounds,
     fidelity_point point;
     point.devices = devices;
     const double n_rounds = static_cast<double>(result.rounds.size());
-    point.synth_ms_per_round = result.synth_wall_s * 1e3 / n_rounds;
-    point.decode_ms_per_round = result.decode_wall_s * 1e3 / n_rounds;
-    const double loop_s = result.synth_wall_s + result.decode_wall_s;
+    // Host-time split from the round.<phase>_s histograms: transmit side
+    // (synthesis + superposition) vs receiver decode.
+    const double synth_s = result.metrics.histogram_sum("round.synth_s") +
+                           result.metrics.histogram_sum("round.superpose_s");
+    const double decode_s = result.metrics.histogram_sum("round.decode_s");
+    point.synth_ms_per_round = synth_s * 1e3 / n_rounds;
+    point.decode_ms_per_round = decode_s * 1e3 / n_rounds;
+    const double loop_s = synth_s + decode_s;
     point.rounds_per_s = loop_s > 0.0 ? n_rounds / loop_s : 0.0;
     point.delivery_rate = result.delivery_rate();
     return point;

@@ -31,6 +31,26 @@ void backscatter_device::force_associate(std::uint32_t shift,
     consecutive_skips_ = 0;
 }
 
+transmit_intent backscatter_device::request_association(double measured_rssi_dbm) {
+    // §3.3.2: a weak query implies a far / low-SNR device (max gain,
+    // low-SNR region), a strong one a near device (middle gain,
+    // high-SNR region).
+    gain_level_ = association_gain_level(measured_rssi_dbm);
+    pending_region_ = measured_rssi_dbm < params_.low_rssi_threshold_dbm
+                          ? snr_region::low
+                          : snr_region::high;
+    baseline_rssi_dbm_ = measured_rssi_dbm;
+    baseline_gain_db_ = network_.gain_db(gain_level_);
+    consecutive_skips_ = 0;
+    state_ = device_state::awaiting_ack;
+
+    transmit_intent intent;
+    intent.action = device_action::association_request;
+    intent.association_region = pending_region_;
+    intent.gain_db = baseline_gain_db_;
+    return intent;
+}
+
 transmit_intent backscatter_device::handle_query(
     double query_rx_power_dbm, const std::optional<shift_assignment>& assignment) {
     transmit_intent intent;
@@ -48,22 +68,8 @@ transmit_intent backscatter_device::handle_query(
 
     switch (state_) {
         case device_state::unassociated: {
-            // §3.3.2: pick the association region and the initial power
-            // gain from the query strength. A weak query implies a far /
-            // low-SNR device: max gain, low-SNR region. A strong query
-            // implies a near device: middle gain (leaving headroom both
-            // ways), high-SNR region.
-            const bool weak = measured_rssi < params_.low_rssi_threshold_dbm;
-            gain_level_ = weak ? network_.max_level() : network_.middle_level();
-            pending_region_ = weak ? snr_region::low : snr_region::high;
-            baseline_rssi_dbm_ = measured_rssi;
-            baseline_gain_db_ = network_.gain_db(gain_level_);
-
-            intent.action = device_action::association_request;
-            intent.association_region = pending_region_;
-            intent.gain_db = baseline_gain_db_;
+            intent = request_association(measured_rssi);
             stamp_impairments(intent);
-            state_ = device_state::awaiting_ack;
             return intent;
         }
         case device_state::awaiting_ack: {
@@ -115,18 +121,7 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
         if (consecutive_skips_ >= params_.max_skips) {
             // Re-initiate association so the AP reassigns the shift for the
             // new, significantly different power value (§3.2.3).
-            state_ = device_state::unassociated;
-            consecutive_skips_ = 0;
-            const bool weak = measured_rssi_dbm < params_.low_rssi_threshold_dbm;
-            gain_level_ = weak ? network_.max_level() : network_.middle_level();
-            pending_region_ = weak ? snr_region::low : snr_region::high;
-            baseline_rssi_dbm_ = measured_rssi_dbm;
-            baseline_gain_db_ = network_.gain_db(gain_level_);
-            intent.action = device_action::association_request;
-            intent.association_region = pending_region_;
-            intent.gain_db = baseline_gain_db_;
-            state_ = device_state::awaiting_ack;
-            return intent;
+            return request_association(measured_rssi_dbm);
         }
         intent.action = device_action::skip;
         return intent;

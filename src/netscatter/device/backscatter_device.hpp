@@ -118,6 +118,18 @@ public:
     std::uint32_t id() const { return id_; }
     const device_params& params() const { return params_; }
 
+    /// The association-time gain rule (§3.2.3): maximum gain when the
+    /// query is weaker than low_rssi_threshold_dbm (a far device), the
+    /// middle level otherwise (headroom both ways).
+    std::size_t association_gain_level(double query_rssi_dbm) const {
+        return query_rssi_dbm < params_.low_rssi_threshold_dbm ? network_.max_level()
+                                                               : network_.middle_level();
+    }
+    /// Gain in dB of association_gain_level(query_rssi_dbm).
+    double association_gain_db(double query_rssi_dbm) const {
+        return network_.gain_db(association_gain_level(query_rssi_dbm));
+    }
+
     /// Forces the associated state with the given shift — used by tests
     /// and by experiments that bypass the association handshake (the
     /// deployment in §3.3.2 associates devices one at a time up front).
@@ -126,6 +138,10 @@ public:
 
 private:
     transmit_intent respond_associated(double measured_rssi_dbm);
+    /// Starts (or restarts) the association handshake from a query heard
+    /// at `measured_rssi_dbm`: picks the gain level and SNR region, makes
+    /// that query the power baseline and returns the association request.
+    transmit_intent request_association(double measured_rssi_dbm);
 
     std::uint32_t id_;
     device_params params_;

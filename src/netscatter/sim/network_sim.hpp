@@ -9,6 +9,7 @@
 // the Figs. 17-19 series.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -274,20 +275,13 @@ struct sim_result {
     /// Rounds served by the symbol-domain fast path (== rounds.size()
     /// under phy_fidelity::symbol, 0 under ::sample).
     std::size_t fast_path_rounds = 0;
-    /// Host wall-clock split of the round loop: transmit-side work
-    /// (device MAC decisions + packet/spectrum synthesis + channel
-    /// superposition) vs receiver decode. Registry-backed (the sums of
-    /// the round.synth_s/round.superpose_s and round.decode_s
-    /// histograms), kept as plain scalars for API compatibility.
-    /// Excluded from determinism comparisons; merge() sums.
-    double synth_wall_s = 0.0;
-    double decode_wall_s = 0.0;
 
     /// Full metrics snapshot of this replica's registry (counters,
     /// gauges, per-phase histograms — see README "Observability" for the
-    /// catalogue). merge() folds name-wise in task order, preserving the
-    /// Monte-Carlo runner's determinism contract: every non-timing entry
-    /// is bit-identical across thread counts.
+    /// catalogue; the host-time split of the round loop is the sums of
+    /// the round.<phase>_s histograms). merge() folds name-wise in task
+    /// order, preserving the Monte-Carlo runner's determinism contract:
+    /// every non-timing entry is bit-identical across thread counts.
     ns::obs::metrics_snapshot metrics;
     /// Trace spans recorded when config.obs.trace is set; replicas
     /// concatenate in task order. Host timestamps — never written into
@@ -326,6 +320,57 @@ struct sim_result {
     double skip_rate() const;
     /// Fraction of active device-rounds with no data to send.
     double idle_rate() const;
+};
+
+/// One additive outcome counter: a round_outcome field, the sim_result
+/// total it sums into and, when `metric` is set, the registry counter it
+/// also feeds. The per-round accumulation, sim_result::merge and the
+/// metric probes all walk outcome_counters, so a new counter is a field
+/// in both structs plus one row. `fault.*` metrics are registered only
+/// when the config enables faults, so fault-free runs publish an
+/// unchanged metric set.
+struct outcome_counter {
+    std::size_t round_outcome::*field;
+    std::size_t sim_result::*total;
+    const char* metric;
+};
+
+inline constexpr outcome_counter outcome_counters[] = {
+    {&round_outcome::active, &sim_result::total_active_rounds, nullptr},
+    {&round_outcome::transmitting, &sim_result::total_transmitting, "sim.tx_packets"},
+    {&round_outcome::skipped, &sim_result::total_skipped, nullptr},
+    {&round_outcome::idle, &sim_result::total_idle, nullptr},
+    {&round_outcome::detected, &sim_result::total_detected, "sim.detected"},
+    {&round_outcome::delivered, &sim_result::total_delivered, "sim.delivered"},
+    {&round_outcome::bit_errors, &sim_result::total_bit_errors, nullptr},
+    {&round_outcome::bits_sent, &sim_result::total_bits, nullptr},
+    {&round_outcome::joins, &sim_result::total_joins, nullptr},
+    {&round_outcome::leaves, &sim_result::total_leaves, nullptr},
+    {&round_outcome::rejected_joins, &sim_result::total_rejected_joins, nullptr},
+    {&round_outcome::reassociations, &sim_result::total_reassociations, nullptr},
+    {&round_outcome::realloc_events, &sim_result::total_realloc_events, nullptr},
+    {&round_outcome::full_reassignments, &sim_result::total_full_reassignments, nullptr},
+    {&round_outcome::regroups, &sim_result::total_regroups, nullptr},
+    {&round_outcome::cross_tx, &sim_result::total_cross_tx, "sim.cross_tx"},
+    {&round_outcome::cross_collisions, &sim_result::total_cross_collisions,
+     "sim.cross_collisions"},
+    {&round_outcome::cross_collided_delivered,
+     &sim_result::total_cross_collided_delivered, nullptr},
+    {&round_outcome::query_losses, &sim_result::total_query_losses,
+     "fault.query_losses"},
+    {&round_outcome::ack_losses, &sim_result::total_ack_losses, "fault.ack_losses"},
+    {&round_outcome::ack_timeouts, &sim_result::total_ack_timeouts,
+     "fault.ack_timeouts"},
+    {&round_outcome::reboots, &sim_result::total_reboots, "fault.reboots"},
+    {&round_outcome::down_events, &sim_result::total_down_events, "fault.down_events"},
+    {&round_outcome::lease_evictions, &sim_result::total_lease_evictions,
+     "fault.lease_evictions"},
+    {&round_outcome::desyncs, &sim_result::total_desyncs, "fault.desyncs"},
+    {&round_outcome::resyncs, &sim_result::total_resyncs, "fault.resyncs"},
+    {&round_outcome::recoveries, &sim_result::total_recoveries, "fault.recoveries"},
+    {&round_outcome::orphan_tx, &sim_result::total_orphan_tx, "fault.orphan_tx"},
+    {&round_outcome::orphan_collisions, &sim_result::total_orphan_collisions,
+     "fault.orphan_collisions"},
 };
 
 /// The simulator.
@@ -413,6 +458,11 @@ private:
         std::uint32_t missed_queries = 0;
         /// Consecutive scheduled rounds the AP heard nothing (lease).
         std::uint32_t silent_rounds = 0;
+
+        /// Uplink power at the AP at the device's current gain.
+        double uplink_dbm() const {
+            return placement.uplink_rx_dbm + device.current_gain_db();
+        }
     };
 
     /// Applies a scenario's round plan: link updates, leaves, then joins
@@ -475,8 +525,66 @@ private:
     /// Membership-lease sweep over this round's scheduled slots.
     void apply_lease(std::optional<std::size_t> scheduled_group,
                      std::size_t round, round_outcome& outcome);
+    /// Brownouts: this round's reboot draws strike uniformly among the
+    /// live members, which go down and must rejoin.
+    void apply_reboots(std::size_t round, round_outcome& outcome);
+    /// Ends a desynced device's stale-shift episode (it re-heard the
+    /// schedule); no-op when the device is in sync.
+    void end_desync(device_slot& slot, std::size_t round, round_outcome& outcome);
 
-    const deployment* deployment_;
+    // --- The round (§3.3): one member function per traced phase --------
+    /// The traced phases of a round, in execution order.
+    enum class phase : std::size_t { plan, grouping, synth, superpose, decode };
+    static constexpr std::size_t num_phases = 5;
+
+    /// RAII probe of one round phase: opens and closes its trace span,
+    /// its round.<phase>_s histogram and its perf.<phase>.* counters
+    /// together. Free (no clock reads, no syscalls) when all are off.
+    class phase_scope {
+    public:
+        phase_scope(network_simulator& sim, phase p, std::size_t round);
+
+    private:
+        ns::obs::trace_span span_;
+        ns::obs::perf_scope perf_;
+    };
+
+    /// One round's state as it flows through the phase functions.
+    struct round_state {
+        std::size_t index = 0;
+        round_plan plan;
+        round_outcome outcome;
+        bool fast_path = false;  ///< symbol-domain synthesis this round
+        /// The addressed group (0 when ungrouped).
+        std::size_t scheduled_group = 0;
+        /// Summed baseband of a sample-path round (null on the fast path).
+        const ns::dsp::cvec* received = nullptr;
+    };
+
+    /// Plan: the scenario's membership/link plan, then reboots.
+    void plan_phase(round_state& rs);
+    /// Grouping: a due regroup, then the scheduled group's shifts.
+    void grouping_phase(round_state& rs);
+    /// Synth: every scheduled device's MAC decision and symbolic packet,
+    /// then the lease sweep and the receiver's shift refresh.
+    void synth_phase(round_state& rs);
+    /// Superpose: co-channel collision marks, then the channel sum on
+    /// the fast or the sample path.
+    void superpose_phase(round_state& rs);
+    /// Decode: one FFT per symbol, report scoring, orphan accounting.
+    void decode_phase(round_state& rs);
+    /// Folds the round's outcome into `result`, the group accumulators
+    /// and the metric probes; `allocs_before` is the round's start.
+    void account_round(const round_state& rs, ns::obs::alloc_counters allocs_before,
+                       sim_result& result);
+
+    /// The synth phase's fault gate for one scheduled device: applies
+    /// zombie silence, blackouts and query loss. Returns whether the
+    /// device heard this round's query and may respond.
+    bool hears_query(std::size_t slot_index, round_state& rs);
+    /// Whether the round takes the symbol-domain fast path (phy_fidelity).
+    bool use_fast_path(const round_plan& plan) const;
+
     sim_config config_;
     round_hooks* hooks_ = nullptr;
     ns::util::rng rng_;
@@ -490,6 +598,7 @@ private:
     std::unordered_map<std::uint32_t, std::uint32_t> allocation_;
     std::vector<double> association_snr_db_;
     ns::mac::shift_allocator allocator_;
+    double noise_floor_dbm_ = 0.0;  ///< receiver noise floor over the band
     std::size_t active_count_ = 0;
     bool membership_dirty_ = false;
     /// Fault schedule generator (config.faults.enabled() only; nullopt
@@ -520,51 +629,31 @@ private:
     // which also keeps the probes from reading the clock).
     struct obs_probes {
         ns::obs::histogram* round_total = nullptr;  ///< round.total_s
-        ns::obs::histogram* plan = nullptr;         ///< round.plan_s
-        ns::obs::histogram* grouping = nullptr;     ///< round.grouping_s
-        ns::obs::histogram* synth = nullptr;        ///< round.synth_s
-        ns::obs::histogram* superpose = nullptr;    ///< round.superpose_s
-        ns::obs::histogram* decode = nullptr;       ///< round.decode_s
         ns::obs::histogram* round_allocs = nullptr; ///< round.allocs
+        /// round.<phase>_s, indexed by phase.
+        std::array<ns::obs::histogram*, num_phases> phase_time{};
         ns::obs::counter* rounds = nullptr;
         ns::obs::counter* fast_rounds = nullptr;
         ns::obs::counter* sample_rounds = nullptr;
-        ns::obs::counter* tx_packets = nullptr;
-        ns::obs::counter* detected = nullptr;
-        ns::obs::counter* delivered = nullptr;
-        ns::obs::counter* cross_tx = nullptr;
-        ns::obs::counter* cross_collisions = nullptr;
         ns::obs::counter* alloc_warmup_count = nullptr;
         ns::obs::counter* alloc_steady_count = nullptr;
         ns::obs::counter* alloc_steady_bytes = nullptr;
         ns::obs::counter* alloc_steady_rounds = nullptr;
         ns::obs::gauge* active_devices = nullptr;
         ns::obs::gauge* num_groups = nullptr;
-        // fault.* instruments, fetched only when config.faults.enabled()
-        // so fault-free runs publish an unchanged metrics set.
-        ns::obs::counter* fault_query_losses = nullptr;
-        ns::obs::counter* fault_ack_losses = nullptr;
-        ns::obs::counter* fault_ack_timeouts = nullptr;
-        ns::obs::counter* fault_reboots = nullptr;
-        ns::obs::counter* fault_down_events = nullptr;
-        ns::obs::counter* fault_lease_evictions = nullptr;
-        ns::obs::counter* fault_desyncs = nullptr;
-        ns::obs::counter* fault_resyncs = nullptr;
-        ns::obs::counter* fault_recoveries = nullptr;
-        ns::obs::counter* fault_orphan_tx = nullptr;
-        ns::obs::counter* fault_orphan_collisions = nullptr;
+        /// The metric of each outcome_counters row (null: none, metrics
+        /// off, or a fault.* row with faults off).
+        std::array<ns::obs::counter*, std::size(outcome_counters)> outcome{};
+        // fault.* instruments outside the counter table, fetched only
+        // when config.faults.enabled().
         ns::obs::counter* fault_blackout_rounds = nullptr;
         ns::obs::histogram* fault_recovery_rounds = nullptr;
         ns::obs::histogram* fault_resync_rounds = nullptr;
-        // Hardware-counter attribution destinations, one per round-loop
-        // phase (perf.<phase>.cycles / .instructions / ...). Unwired
-        // (null) unless obs.perf is set AND the group opened, so the
-        // default round loop performs zero perf syscalls.
-        ns::obs::perf_phase_counters perf_plan{};
-        ns::obs::perf_phase_counters perf_grouping{};
-        ns::obs::perf_phase_counters perf_synth{};
-        ns::obs::perf_phase_counters perf_superpose{};
-        ns::obs::perf_phase_counters perf_decode{};
+        /// Hardware-counter attribution destinations (perf.<phase>.cycles
+        /// / .instructions / ...), indexed by phase. Unwired (null) unless
+        /// obs.perf is set AND the group opened, so the default round
+        /// loop performs zero perf syscalls.
+        std::array<ns::obs::perf_phase_counters, num_phases> phase_perf{};
     };
     ns::obs::metrics_registry metrics_;
     ns::obs::trace_buffer trace_;

@@ -244,6 +244,24 @@ TEST(backscatter_device, per_packet_impairments_sampled) {
     EXPECT_LE(std::abs(device.static_frequency_offset_hz()), 150.0);
 }
 
+TEST(backscatter_device, association_gain_rule_picks_max_when_weak_else_middle) {
+    // One rule (§3.2.3) for the handshake, the AP's join-power estimate
+    // and the simulator's up-front associations.
+    backscatter_device device(1, quiet_params(), 12);
+    const double threshold = device.params().low_rssi_threshold_dbm;
+    const switch_network network;
+    EXPECT_EQ(device.association_gain_level(threshold - 0.5), network.max_level());
+    EXPECT_EQ(device.association_gain_level(threshold), network.middle_level());
+    EXPECT_DOUBLE_EQ(device.association_gain_db(threshold + 5.0),
+                     network.gain_db(network.middle_level()));
+
+    // A weak handshake query starts at the rule's level.
+    const auto request = device.handle_query(threshold - 2.0, std::nullopt);
+    ASSERT_EQ(request.action, device_action::association_request);
+    EXPECT_DOUBLE_EQ(request.gain_db, device.association_gain_db(threshold - 2.0));
+    EXPECT_EQ(request.association_region, snr_region::low);
+}
+
 TEST(backscatter_device, force_associate_validates) {
     backscatter_device device(1, quiet_params(), 11);
     EXPECT_THROW(device.force_associate(512, -30.0, 0), ns::util::invalid_argument);

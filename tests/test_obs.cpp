@@ -1,7 +1,8 @@
 // Observability layer (src/netscatter/obs): deterministic histogram
 // bucketing, name-wise snapshot merging that is bit-identical between
 // serial and parallel replica execution, well-formed span trees from
-// nested RAII probes, valid Chrome/Perfetto trace JSON, and the
+// nested RAII probes and from the simulator's round phases on both
+// synthesis paths, valid Chrome/Perfetto trace JSON, and the
 // NS_OBS=OFF no-op contract. The same binary exercises both sides of
 // the compile-time switch: the CI NS_OBS=OFF leg runs these tests with
 // every instrument compiled out.
@@ -18,6 +19,10 @@
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/obs/perf_counters.hpp"
 #include "netscatter/obs/trace.hpp"
+#include "netscatter/scenario/scenario_registry.hpp"
+#include "netscatter/scenario/scenario_runner.hpp"
+#include "netscatter/sim/deployment.hpp"
+#include "netscatter/sim/network_sim.hpp"
 
 namespace {
 
@@ -251,6 +256,76 @@ TEST(trace_spans, nested_probes_form_a_well_formed_span_tree) {
     // Siblings are disjoint in time: synth closed before decode opened.
     EXPECT_LE(events[1].ts_ns + events[1].dur_ns, events[2].ts_ns);
     for (const auto& event : events) EXPECT_EQ(event.track, 3u);
+}
+
+/// The simulator's own span tree over a one-replica run: each round
+/// span holds exactly one plan, grouping, synth, superpose and decode
+/// span, in that order, pairwise disjoint, and each round.<phase>_s
+/// histogram holds one observation per round.
+void expect_round_span_tree(const ns::sim::sim_result& result, std::size_t rounds) {
+    static constexpr const char* phases[] = {"plan", "grouping", "synth", "superpose",
+                                             "decode"};
+    const auto contains = [](const ns::obs::trace_event& parent,
+                             const ns::obs::trace_event& child) {
+        return child.ts_ns >= parent.ts_ns &&
+               child.ts_ns + child.dur_ns <= parent.ts_ns + parent.dur_ns;
+    };
+    std::size_t round_spans = 0;
+    for (const ns::obs::trace_event& round : result.trace) {
+        if (std::string(round.name) != "round") continue;
+        const auto index = static_cast<std::int64_t>(round_spans++);
+        EXPECT_EQ(round.arg, index);
+        // Spans are appended as they close, so siblings appear in
+        // execution order.
+        std::vector<const ns::obs::trace_event*> children;
+        for (const ns::obs::trace_event& event : result.trace) {
+            if (event.arg == index && &event != &round) children.push_back(&event);
+        }
+        ASSERT_EQ(children.size(), std::size(phases)) << "round " << index;
+        for (std::size_t p = 0; p < children.size(); ++p) {
+            EXPECT_STREQ(children[p]->name, phases[p]) << "round " << index;
+            EXPECT_TRUE(contains(round, *children[p])) << phases[p];
+            if (p > 0) {
+                EXPECT_LE(children[p - 1]->ts_ns + children[p - 1]->dur_ns,
+                          children[p]->ts_ns)
+                    << phases[p - 1] << " overlaps " << phases[p];
+            }
+        }
+    }
+    EXPECT_EQ(round_spans, rounds);
+    for (const char* phase : phases) {
+        const std::string name = std::string("round.") + phase + "_s";
+        const auto* hist = result.metrics.find_histogram(name);
+        ASSERT_NE(hist, nullptr) << name;
+        EXPECT_EQ(hist->count, rounds) << name;
+    }
+}
+
+TEST(trace_spans, simulator_rounds_trace_each_phase_once_fast_path) {
+    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 24, 3);
+    ns::sim::sim_config config;
+    config.rounds = 4;
+    config.zero_padding = 4;
+    config.obs.trace = true;
+    ns::sim::network_simulator sim(dep, config);
+    const ns::sim::sim_result result = sim.run();
+    EXPECT_EQ(result.fast_path_rounds, config.rounds);
+    expect_round_span_tree(result, config.rounds);
+}
+
+TEST(trace_spans, simulator_rounds_trace_each_phase_once_sample_path) {
+    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    // A LoRa frame lands in every round, so every round takes the
+    // sample-domain pipeline.
+    ns::scenario::scenario_spec spec = *ns::scenario::find_scenario("interference-lora");
+    spec.geometry.num_devices = 32;
+    spec.interference.burst_probability = 1.0;
+    spec.sim.rounds = 4;
+    spec.sim.obs.trace = true;
+    const ns::scenario::replica_result replica = ns::scenario::run_scenario_replica(spec, 0);
+    EXPECT_EQ(replica.sim.fast_path_rounds, 0u);
+    expect_round_span_tree(replica.sim, spec.sim.rounds);
 }
 
 TEST(trace_spans, ring_is_bounded_and_counts_drops) {

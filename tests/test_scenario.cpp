@@ -8,6 +8,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "netscatter/scenario/churn.hpp"
 #include "netscatter/scenario/interference.hpp"
@@ -17,6 +19,8 @@
 #include "netscatter/scenario/scenario_runner.hpp"
 #include "netscatter/scenario/traffic.hpp"
 #include "netscatter/sim/deployment.hpp"
+#include "netscatter/mac/allocator.hpp"
+#include "netscatter/obs/metrics.hpp"
 #include "netscatter/sim/network_sim.hpp"
 
 namespace {
@@ -688,6 +692,251 @@ TEST(round_hooks, default_hooks_match_hookless_simulator) {
     EXPECT_EQ(a.total_delivered, b.total_delivered);
     EXPECT_EQ(a.total_transmitting, b.total_transmitting);
     EXPECT_EQ(a.total_bit_errors, b.total_bit_errors);
+}
+
+// ------------------------------------------------- outcome accounting --
+
+/// (name, run total, the same counter summed over result.rounds) for
+/// every additive round_outcome counter. Written out field by field —
+/// not through ns::sim::outcome_counters — so a dropped or misaligned
+/// row of the simulator's counter table shows up as a mismatch here.
+using total_check = std::tuple<const char*, std::size_t, std::size_t>;
+std::vector<total_check> totals_vs_round_sums(const ns::sim::sim_result& s) {
+    ns::sim::round_outcome sum;
+    std::size_t blackout_rounds = 0;
+    for (const ns::sim::round_outcome& r : s.rounds) {
+        sum.active += r.active;
+        sum.transmitting += r.transmitting;
+        sum.skipped += r.skipped;
+        sum.idle += r.idle;
+        sum.detected += r.detected;
+        sum.delivered += r.delivered;
+        sum.bit_errors += r.bit_errors;
+        sum.bits_sent += r.bits_sent;
+        sum.joins += r.joins;
+        sum.leaves += r.leaves;
+        sum.rejected_joins += r.rejected_joins;
+        sum.reassociations += r.reassociations;
+        sum.realloc_events += r.realloc_events;
+        sum.full_reassignments += r.full_reassignments;
+        sum.regroups += r.regroups;
+        sum.cross_tx += r.cross_tx;
+        sum.cross_collisions += r.cross_collisions;
+        sum.cross_collided_delivered += r.cross_collided_delivered;
+        sum.query_losses += r.query_losses;
+        sum.ack_losses += r.ack_losses;
+        sum.ack_timeouts += r.ack_timeouts;
+        sum.reboots += r.reboots;
+        sum.down_events += r.down_events;
+        sum.lease_evictions += r.lease_evictions;
+        sum.desyncs += r.desyncs;
+        sum.resyncs += r.resyncs;
+        sum.recoveries += r.recoveries;
+        sum.orphan_tx += r.orphan_tx;
+        sum.orphan_collisions += r.orphan_collisions;
+        if (r.blackout) ++blackout_rounds;
+    }
+    return {
+        {"active", s.total_active_rounds, sum.active},
+        {"transmitting", s.total_transmitting, sum.transmitting},
+        {"skipped", s.total_skipped, sum.skipped},
+        {"idle", s.total_idle, sum.idle},
+        {"detected", s.total_detected, sum.detected},
+        {"delivered", s.total_delivered, sum.delivered},
+        {"bit_errors", s.total_bit_errors, sum.bit_errors},
+        {"bits_sent", s.total_bits, sum.bits_sent},
+        {"joins", s.total_joins, sum.joins},
+        {"leaves", s.total_leaves, sum.leaves},
+        {"rejected_joins", s.total_rejected_joins, sum.rejected_joins},
+        {"reassociations", s.total_reassociations, sum.reassociations},
+        {"realloc_events", s.total_realloc_events, sum.realloc_events},
+        {"full_reassignments", s.total_full_reassignments, sum.full_reassignments},
+        {"regroups", s.total_regroups, sum.regroups},
+        {"cross_tx", s.total_cross_tx, sum.cross_tx},
+        {"cross_collisions", s.total_cross_collisions, sum.cross_collisions},
+        {"cross_collided_delivered", s.total_cross_collided_delivered,
+         sum.cross_collided_delivered},
+        {"query_losses", s.total_query_losses, sum.query_losses},
+        {"ack_losses", s.total_ack_losses, sum.ack_losses},
+        {"ack_timeouts", s.total_ack_timeouts, sum.ack_timeouts},
+        {"reboots", s.total_reboots, sum.reboots},
+        {"down_events", s.total_down_events, sum.down_events},
+        {"lease_evictions", s.total_lease_evictions, sum.lease_evictions},
+        {"desyncs", s.total_desyncs, sum.desyncs},
+        {"resyncs", s.total_resyncs, sum.resyncs},
+        {"recoveries", s.total_recoveries, sum.recoveries},
+        {"orphan_tx", s.total_orphan_tx, sum.orphan_tx},
+        {"orphan_collisions", s.total_orphan_collisions, sum.orphan_collisions},
+        {"blackout_rounds", s.total_blackout_rounds, blackout_rounds},
+    };
+}
+
+/// (metric name, run total) for every sim.* / fault.* counter the
+/// simulator publishes from an outcome total.
+std::vector<std::pair<const char*, std::size_t>> metric_totals(
+    const ns::sim::sim_result& s) {
+    return {
+        {"sim.tx_packets", s.total_transmitting},
+        {"sim.detected", s.total_detected},
+        {"sim.delivered", s.total_delivered},
+        {"sim.cross_tx", s.total_cross_tx},
+        {"sim.cross_collisions", s.total_cross_collisions},
+        {"fault.query_losses", s.total_query_losses},
+        {"fault.ack_losses", s.total_ack_losses},
+        {"fault.ack_timeouts", s.total_ack_timeouts},
+        {"fault.reboots", s.total_reboots},
+        {"fault.down_events", s.total_down_events},
+        {"fault.lease_evictions", s.total_lease_evictions},
+        {"fault.desyncs", s.total_desyncs},
+        {"fault.resyncs", s.total_resyncs},
+        {"fault.recoveries", s.total_recoveries},
+        {"fault.orphan_tx", s.total_orphan_tx},
+        {"fault.orphan_collisions", s.total_orphan_collisions},
+        {"fault.blackout_rounds", s.total_blackout_rounds},
+    };
+}
+
+/// Checks two runs' outcome accounting: each run's totals are the sums
+/// of its rounds, merge() adds them field-wise and (with faults on, so
+/// that every fault.* counter is published) each counter equals its
+/// total. Returns the counters the merged run drove away from zero.
+std::set<std::string> check_outcome_accounting(const ns::sim::sim_result& a,
+                                               const ns::sim::sim_result& b,
+                                               bool faults_on) {
+    for (const ns::sim::sim_result* sim : {&a, &b}) {
+        for (const auto& [name, total, round_sum] : totals_vs_round_sums(*sim)) {
+            EXPECT_EQ(total, round_sum) << name;
+        }
+    }
+
+    ns::sim::sim_result merged = a;
+    merged.merge(b);
+    EXPECT_EQ(merged.rounds.size(), a.rounds.size() + b.rounds.size());
+    const auto ta = totals_vs_round_sums(a);
+    const auto tb = totals_vs_round_sums(b);
+    const auto tm = totals_vs_round_sums(merged);
+    std::set<std::string> nonzero;
+    for (std::size_t i = 0; i < tm.size(); ++i) {
+        const auto& [name, total, round_sum] = tm[i];
+        EXPECT_EQ(total, std::get<1>(ta[i]) + std::get<1>(tb[i])) << name;
+        EXPECT_EQ(total, round_sum) << name;
+        if (total != 0) nonzero.insert(name);
+    }
+    EXPECT_EQ(merged.devices_down_at_end, a.devices_down_at_end + b.devices_down_at_end);
+    EXPECT_EQ(merged.fast_path_rounds, a.fast_path_rounds + b.fast_path_rounds);
+
+    if (ns::obs::compiled_in() && faults_on) {
+        const ns::sim::sim_result& merged_view = merged;
+        for (const ns::sim::sim_result* sim : {&a, &b, &merged_view}) {
+            for (const auto& [name, total] : metric_totals(*sim)) {
+                EXPECT_NE(sim->metrics.find_counter(name), nullptr) << name;
+                EXPECT_EQ(sim->metrics.counter_value(name), total) << name;
+            }
+        }
+    }
+    return nonzero;
+}
+
+/// Replicas 0 and 1 of `spec` through check_outcome_accounting.
+std::set<std::string> check_outcome_accounting(const scenario_spec& spec) {
+    SCOPED_TRACE(spec.name);
+    const replica_result a = run_scenario_replica(spec, 0);
+    const replica_result b = run_scenario_replica(spec, 1);
+    EXPECT_EQ(a.sim.rounds.size(), spec.sim.rounds);
+    return check_outcome_accounting(a.sim, b.sim, spec.faults.enabled());
+}
+
+/// Hooks that start the network a few devices short of its slot
+/// capacity, then send more joiners than fit: the last joins into the
+/// crowded shift space force full reassignments, the overflow is
+/// rejected.
+class full_house_hooks final : public ns::sim::round_hooks {
+public:
+    explicit full_house_hooks(std::size_t capacity) : capacity_(capacity) {}
+    std::optional<std::vector<std::uint32_t>> initial_active() override {
+        std::vector<std::uint32_t> ids;
+        for (std::uint32_t id = 0; id + 6 < capacity_; ++id) ids.push_back(id);
+        return ids;
+    }
+    ns::sim::round_plan plan_round(std::size_t round) override {
+        ns::sim::round_plan plan;
+        if (round == 1) {
+            for (std::uint32_t id = 0; id < 10; ++id) {
+                plan.joins.push_back(static_cast<std::uint32_t>(capacity_) - 6 + id);
+            }
+        }
+        return plan;
+    }
+
+private:
+    std::size_t capacity_;
+};
+
+TEST(outcome_accounting, totals_are_round_sums_merge_adds_and_metrics_agree) {
+    // lossy-control-1k shrunk, with most counter families switched on:
+    // churn, mobility, grouping with periodic regroups, faults including
+    // blackouts, traffic gating and a co-channel network.
+    scenario_spec faulty = *find_scenario("lossy-control-1k");
+    faulty.geometry.num_devices = 240;
+    faulty.churn.initial_active = 90;
+    faulty.sim.grouping.group_capacity = 30;
+    faulty.sim.grouping.regroup_period_rounds = 4;
+    faulty.traffic.kind = traffic_kind::periodic;
+    faulty.traffic.duty_cycle = 0.75;
+    faulty.traffic.period_rounds = 4;
+    faulty.mobility.mobile_fraction = 0.5;
+    faulty.mobility.speed_mps = 5.0;
+    faulty.cochannel.enabled = true;
+    faulty.cochannel.num_devices = 64;
+    faulty.faults.ack_loss = 0.6;
+    faulty.faults.blackout_probability = 0.1;
+    faulty.sim.rounds = 16;
+    std::set<std::string> nonzero = check_outcome_accounting(faulty);
+
+    // Ungrouped heavy churn near capacity covers what the grouped run
+    // cannot: power skips, re-associations, full reassignments and
+    // rejected joins.
+    scenario_spec churn = *find_scenario("churn-heavy");
+    churn.geometry.num_devices = 320;
+    churn.churn.initial_active = 240;
+    churn.sim.rounds = 12;
+    nonzero.merge(check_outcome_accounting(churn));
+
+    // A static network filled past its slot capacity.
+    ns::sim::sim_config config;
+    config.rounds = 3;
+    config.zero_padding = 4;
+    const std::size_t capacity =
+        ns::mac::shift_allocator({.phy = config.phy, .skip = config.skip,
+                                  .num_association_slots = 0})
+            .num_data_slots();
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, capacity + 4, 5);
+    std::vector<ns::sim::sim_result> full;
+    for (const std::uint64_t seed : {1, 2}) {
+        config.seed = seed;
+        full_house_hooks hooks(capacity);
+        full.push_back(ns::sim::network_simulator(dep, config, &hooks).run());
+    }
+    nonzero.merge(check_outcome_accounting(full[0], full[1], false));
+
+    // The sums prove little about counters that stay zero: between them
+    // the runs must drive every one.
+    for (const auto& [name, total, round_sum] : totals_vs_round_sums(full[0])) {
+        EXPECT_TRUE(nonzero.contains(name)) << name << " never left zero";
+    }
+}
+
+TEST(outcome_accounting, fault_free_runs_register_no_fault_metrics) {
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    scenario_spec spec = shrink(*find_scenario("churn-heavy"), 4, 64);
+    const replica_result r = run_scenario_replica(spec, 0);
+    for (const auto& [name, total] : metric_totals(r.sim)) {
+        const bool fault = std::string(name).starts_with("fault.");
+        EXPECT_EQ(r.sim.metrics.find_counter(name) != nullptr, !fault) << name;
+        if (!fault) {
+            EXPECT_EQ(r.sim.metrics.counter_value(name), total) << name;
+        }
+    }
 }
 
 }  // namespace
