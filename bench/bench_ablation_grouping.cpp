@@ -6,32 +6,31 @@
 // group devices by signal strength and address one group per query.
 // This bench stretches the office deployment well past the dynamic range
 // and sweeps the per-group range limit: delivery recovers at the cost of
-// one extra round of latency per group. All three points run through the
-// scenario engine's grouped path (scenario_runner -> network_simulator
-// grouping) — the same code path the grouped scenarios use — so grouped
-// numbers come from one place.
+// one extra round of latency per group. The three points are cells of
+// specs/office-256.spec, stretched by overrides and swept over the range
+// limit on the spec sweep engine — the grouped scenario path
+// (scenario_runner -> network_simulator grouping), so grouped numbers
+// come from one place.
+#include <algorithm>
 #include <iostream>
 
 #include "bench_report.hpp"
-#include "netscatter/scenario/scenario_runner.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/util/table.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     // Stretch the deployment: closer minimum distance and a steeper
     // exponent widen the uplink spread to ~50+ dB.
-    ns::scenario::scenario_spec base;
-    base.name = "ablation-grouping";
-    base.description = "stretched office floor past the dynamic range";
-    base.geometry.preset = ns::scenario::geometry_preset::office;
-    base.geometry.num_devices = 192;
-    base.geometry.min_distance_m = 3.0;
-    base.geometry.pathloss_exponent = 2.9;
-    base.geometry.wall_loss_db = 4.0;
-    base.sim.rounds = 2;
-    base.sim.seed = 41;
-    base.sim.zero_padding = 4;
-    base.replicas = 1;
+    const auto base = bench::office_spec({{"geometry.num_devices", "192"},
+                                          {"geometry.min_distance_m", "3"},
+                                          {"geometry.pathloss_exponent", "2.9"},
+                                          {"geometry.wall_loss_db", "4"},
+                                          {"sim.rounds", "2"},
+                                          {"sim.seed", "41"},
+                                          {"replicas", "1"},
+                                          {"sim.grouping.enabled", "true"},
+                                          {"sim.grouping.group_capacity", "256"}});
 
     {
         const ns::sim::deployment dep(ns::scenario::resolve_geometry(base.geometry),
@@ -54,21 +53,21 @@ int main() {
         "Ablation: grouping by signal strength (SS3.3.3)",
         {"scheme", "groups", "delivery rate", "latency [ms]", "link rate [kbps]"});
 
-    for (const double range_db : {200.0, 35.0, 20.0}) {
-        ns::scenario::scenario_spec spec = base;
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.group_capacity = 256;
-        spec.sim.grouping.max_dynamic_range_db = range_db;
-        // Each group must be scheduled the same number of rounds for a
-        // fair delivery comparison: one full schedule per group count.
-        // A short probe reads the partition size; single-group points
-        // reuse it directly (same spec, same rounds).
-        auto result = ns::scenario::run_scenario(spec, {.parallel = false});
-        if (result.num_groups > 1) {
-            spec.sim.rounds = base.sim.rounds * result.num_groups;
-            result = ns::scenario::run_scenario(spec, {.parallel = false});
-        }
+    auto cells = ns::spec::expand_sweep(
+        base, {{"sim.grouping.max_dynamic_range_db", {"200", "35", "20"}}});
+    // Each group must be scheduled the same number of rounds for a fair
+    // delivery comparison: one full schedule per group count. A short
+    // probe sweep reads each partition's size; the rerun schedules every
+    // group `sim.rounds` times (single-group cells rerun unchanged).
+    const auto probes = ns::spec::run_sweep(cells);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        cells[i].spec.sim.rounds *= std::max<std::size_t>(1, probes[i].num_groups);
+    }
+    const auto results = ns::spec::run_sweep(cells);
 
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto& result = results[i];
+        const double range_db = cells[i].spec.sim.grouping.max_dynamic_range_db;
         const double latency_ms = result.network_latency_s() * 1e3;
         const double rate_kbps = result.throughput_bps() / 1e3;
         table.add_row({range_db > 100 ? "ungrouped (one round)"

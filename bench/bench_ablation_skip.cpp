@@ -8,15 +8,15 @@
 // aggregate GOODPUT = capacity x delivery x 976 bps, which SKIP=2
 // maximizes under realistic jitter.
 //
-// The five settings are independent simulations, so they run as one
-// batch on the engine's Monte-Carlo runner and fill all cores.
+// The five settings are hand-built cells of specs/office-256.spec (the
+// device count follows SKIP, so they are not a product) and run as one
+// sweep on the spec sweep engine, filling all cores.
 #include <iostream>
+#include <string>
 
-#include "netscatter/engine/mc_runner.hpp"
-#include "netscatter/sim/deployment.hpp"
-#include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     const bench::stopwatch clock;
@@ -31,27 +31,26 @@ int main() {
     const std::vector<setting> settings = {
         {1, true}, {2, true}, {4, true}, {1, false}, {2, false}};
 
-    std::vector<ns::engine::mc_job> jobs;
+    std::vector<ns::spec::sweep_cell> cells;
     for (const setting s : settings) {
-        ns::engine::mc_job job;
-        job.dep_params = ns::sim::deployment_params{};
-        job.num_devices = 512 / s.skip;
-        job.deployment_seed = 21;
-        job.config.skip = s.skip;
-        job.config.model_timing_jitter = s.jitter;
-        job.config.rounds = 2;
-        job.config.seed = 5;
-        job.config.zero_padding = 4;
-        jobs.push_back(job);
+        ns::spec::sweep_cell cell;
+        cell.index = cells.size();
+        cell.spec = bench::office_spec(
+            {{"sim.rounds", "2"},
+             {"replicas", "1"},
+             {"sim.seed", "21"},
+             {"sim.skip", std::to_string(s.skip)},
+             {"sim.model_timing_jitter", s.jitter ? "true" : "false"},
+             {"geometry.num_devices", std::to_string(512 / s.skip)}});
+        cells.push_back(std::move(cell));
     }
-    const ns::engine::mc_runner runner;
-    const auto results = runner.run_batch(jobs).results;
+    const auto results = ns::spec::run_sweep(cells);
 
     bench::bench_report report("ablation_skip");
     for (std::size_t i = 0; i < settings.size(); ++i) {
         const setting s = settings[i];
-        const std::size_t devices = jobs[i].num_devices;
-        const auto& result = results[i];
+        const std::size_t devices = cells[i].spec.geometry.num_devices;
+        const auto& result = results[i].sim;
         const double goodput_kbps =
             result.delivery_rate() * static_cast<double>(devices) * 976.5625 / 1e3;
         table.add_row({std::to_string(s.skip), s.jitter ? "on" : "off",

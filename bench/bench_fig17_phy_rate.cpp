@@ -7,7 +7,11 @@
 // (976 bps per device); LoRa backscatter stays flat (~8.7 kbps without
 // rate adaptation, tens of kbps with). Gains at 256 devices: 26.2x /
 // 6.8x. Variance grows past 128 devices as SKIP drops to 2.
-#include <cstdlib>
+//
+// Every simulated point is a cell of specs/office-256.spec swept over
+// the device count, bit-identical to
+//   netscatter_sweep --spec specs/office-256.spec --rounds 3 --replicas 1
+//     --seed 17 --vary geometry.num_devices=1,16,32,64,96,128,160,192,224,256
 #include <iostream>
 
 #include "netscatter/baseline/lora_link.hpp"
@@ -15,51 +19,18 @@
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
-#include "netsim_sweep.hpp"
-
-namespace {
-
-bool same_sweep(const std::vector<bench::sweep_point>& a,
-                const std::vector<bench::sweep_point>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].num_devices != b[i].num_devices ||
-            a[i].mean_delivered != b[i].mean_delivered ||
-            a[i].delivery_rate != b[i].delivery_rate) {
-            return false;
-        }
-    }
-    return true;
-}
-
-}  // namespace
+#include "paper_sweep.hpp"
 
 int main() {
-    const auto frame = ns::phy::phy_format();  // 5-byte payload (§4.4)
-    const auto phy = ns::phy::deployed_params();
+    const auto base = bench::office_spec(
+        {{"sim.rounds", "3"}, {"replicas", "1"}, {"sim.seed", "17"}});
+    const auto frame = base.sim.frame;  // 5-byte payload (§4.4)
+    const auto phy = base.sim.phy;
 
-    ns::sim::sim_config base;
-    base.frame = frame;
-
-    // Parallel sweep through the engine, then the serial reference (same
-    // task decomposition on one thread). The two must be bit-identical;
-    // the ratio of their wall clocks is the engine's speedup. Set
-    // NS_BENCH_SKIP_SERIAL=1 to skip the (slow) reference on big runs.
-    const bench::stopwatch parallel_clock;
-    const auto sweep =
-        bench::run_sweep(/*rounds=*/3, /*seed=*/17, base, bench::parallel_options());
-    const double parallel_s = parallel_clock.seconds();
-
-    double serial_s = 0.0;
-    bool identical = true;
-    const bool skip_serial = std::getenv("NS_BENCH_SKIP_SERIAL") != nullptr;
-    if (!skip_serial) {
-        const bench::stopwatch serial_clock;
-        const auto serial_sweep =
-            bench::run_sweep(/*rounds=*/3, /*seed=*/17, base, bench::serial_options());
-        serial_s = serial_clock.seconds();
-        identical = same_sweep(sweep, serial_sweep);
-    }
+    const bench::stopwatch clock;
+    const auto cells = ns::spec::expand_sweep(base, {bench::paper_device_axis()});
+    const auto results = ns::spec::run_sweep(cells);
+    const double wall_s = clock.seconds();
 
     ns::util::text_table table(
         "Fig 17: network PHY rate [kbps] vs # devices",
@@ -67,35 +38,38 @@ int main() {
          "NetScatter (simulated)", "delivered/round"});
 
     bench::bench_report report("fig17_phy_rate");
-    for (const auto& point : sweep) {
-        const auto lora = ns::baseline::fixed_rate_network(frame, point.num_devices);
-        const auto adapted =
-            ns::baseline::rate_adapted_network(frame, point.uplink_rssi_dbm);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::size_t n = cells[i].spec.geometry.num_devices;
+        const double mean_delivered = results[i].sim.mean_delivered_per_round();
+        const auto lora = ns::baseline::fixed_rate_network(frame, n);
+        const auto adapted = ns::baseline::rate_adapted_network(
+            frame, bench::uplink_rssi_dbm(cells[i].spec));
         const auto ideal = ns::sim::netscatter_ideal_metrics(
-            frame, phy, ns::sim::query_config::config1, point.num_devices);
+            frame, phy, ns::sim::query_config::config1, n);
         const auto measured = ns::sim::netscatter_metrics(
             frame, phy, ns::sim::query_config::config1,
-            static_cast<std::size_t>(point.mean_delivered + 0.5), point.num_devices);
+            static_cast<std::size_t>(mean_delivered + 0.5), n);
 
-        table.add_row({std::to_string(point.num_devices),
+        table.add_row({std::to_string(n),
                        ns::util::format_double(lora.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(adapted.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(ideal.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(measured.phy_rate_bps / 1e3, 1),
-                       ns::util::format_double(point.mean_delivered, 1)});
-        report.add_point({{"num_devices", static_cast<double>(point.num_devices)},
-                          {"mean_delivered", point.mean_delivered},
-                          {"delivery_rate", point.delivery_rate},
+                       ns::util::format_double(mean_delivered, 1)});
+        report.add_point({{"num_devices", static_cast<double>(n)},
+                          {"mean_delivered", mean_delivered},
+                          {"delivery_rate", results[i].sim.delivery_rate()},
                           {"phy_rate_kbps", measured.phy_rate_bps / 1e3}});
     }
     table.print(std::cout);
 
-    const auto& last = sweep.back();
+    const double last_delivered = results.back().sim.mean_delivered_per_round();
     const auto lora = ns::baseline::fixed_rate_network(frame, 256);
-    const auto adapted = ns::baseline::rate_adapted_network(frame, last.uplink_rssi_dbm);
+    const auto adapted = ns::baseline::rate_adapted_network(
+        frame, bench::uplink_rssi_dbm(cells.back().spec));
     const auto measured = ns::sim::netscatter_metrics(
         frame, phy, ns::sim::query_config::config1,
-        static_cast<std::size_t>(last.mean_delivered + 0.5), 256);
+        static_cast<std::size_t>(last_delivered + 0.5), 256);
     std::cout << "\nat 256 devices: gain over fixed LoRa-BS = "
               << ns::util::format_double(measured.phy_rate_bps / lora.phy_rate_bps, 1)
               << "x (paper: 26.2x), over rate-adapted = "
@@ -103,24 +77,12 @@ int main() {
               << "x (paper: 6.8x)\n";
 
     std::cout << "\nengine: " << ns::engine::thread_pool::default_thread_count()
-              << " hardware threads, parallel sweep "
-              << ns::util::format_double(parallel_s, 2) << " s";
-    if (!skip_serial) {
-        std::cout << ", serial reference " << ns::util::format_double(serial_s, 2)
-                  << " s, speedup "
-                  << ns::util::format_double(serial_s / parallel_s, 2)
-                  << "x, bit-identical: " << (identical ? "yes" : "NO");
-    }
-    std::cout << "\n";
+              << " hardware threads, sweep " << ns::util::format_double(wall_s, 2)
+              << " s\n";
 
-    report.set_scalar("wall_clock_s", parallel_s);
+    report.set_scalar("wall_clock_s", wall_s);
     report.set_scalar("hardware_threads",
                       static_cast<double>(ns::engine::thread_pool::default_thread_count()));
-    if (!skip_serial) {
-        report.set_scalar("serial_wall_clock_s", serial_s);
-        report.set_scalar("speedup", serial_s / parallel_s);
-        report.set_scalar("bit_identical", identical ? 1.0 : 0.0);
-    }
     report.write();
-    return identical ? 0 : 1;
+    return 0;
 }

@@ -12,7 +12,7 @@
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
-#include "netsim_sweep.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     const bench::stopwatch clock;

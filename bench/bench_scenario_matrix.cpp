@@ -10,35 +10,16 @@
 // speedup of the symbol-domain fast path.
 #include <cstdlib>
 #include <iostream>
-#include <new>
 
+// The allocation hook feeds the thread-local obs counters, so the
+// matrix can report steady-state allocations per round for every
+// workload.
+#include "apps/alloc_hook.hpp"
 #include "bench_report.hpp"
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/scenario/scenario_registry.hpp"
 #include "netscatter/scenario/scenario_runner.hpp"
 #include "netscatter/util/table.hpp"
-
-// Allocation hook feeding the thread-local obs counters, so the matrix
-// can report steady-state allocations per round for every workload.
-// -Wmismatched-new-delete false-positives when GCC inlines only one side
-// of the replaced malloc/free pair (see apps/netscatter_sim.cpp).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-    ns::obs::record_allocation(size);
-    if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-    throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 

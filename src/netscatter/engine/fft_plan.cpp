@@ -110,23 +110,18 @@ fft_plan_cache& fft_plan_cache::instance() {
 }
 
 std::shared_ptr<const fft_plan> fft_plan_cache::get(std::size_t n) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = plans_.find(n);
-        if (it != plans_.end()) {
-            count(g_cache_hits);
-            return it->second;
-        }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = plans_.find(n); it != plans_.end()) {
+        count(g_cache_hits);
+        return it->second;
     }
     count(g_cache_misses);
-    // Build outside the lock: plan construction is O(n log n) and another
-    // thread may want a different (already cached) size meanwhile. A
-    // racing build of the same size wastes one construction; both racers
-    // end up returning whichever plan landed in the map first.
-    auto plan = std::make_shared<const fft_plan>(n);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = plans_.emplace(n, std::move(plan));
-    return it->second;
+    // Built under the lock, so each size is built exactly once; misses
+    // are one per size per process, and the per-thread memo keeps hot
+    // lookups off the lock. The fill is process state, not the calling
+    // replica's: it stays out of the thread's allocation tally.
+    const ns::obs::untracked_allocations untracked;
+    return plans_.emplace(n, std::make_shared<const fft_plan>(n)).first->second;
 }
 
 std::size_t fft_plan_cache::cached_sizes() const {

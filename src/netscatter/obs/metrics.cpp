@@ -219,4 +219,12 @@ alloc_counters thread_allocations() noexcept {
     return {t_alloc_count, t_alloc_bytes};
 }
 
+untracked_allocations::untracked_allocations() noexcept
+    : saved_(thread_allocations()) {}
+
+untracked_allocations::~untracked_allocations() {
+    t_alloc_count = saved_.count;
+    t_alloc_bytes = saved_.bytes;
+}
+
 }  // namespace ns::obs

@@ -374,6 +374,23 @@ struct alloc_counters {
 void record_allocation(std::size_t bytes) noexcept;
 alloc_counters thread_allocations() noexcept;
 
+/// Keeps the allocations made during its lifetime out of this thread's
+/// tally. For process-wide caches (the FFT plan cache): their first fill
+/// lands on whichever replica thread gets there first, so counting it
+/// would make a replica's per-round allocation figures depend on pool
+/// scheduling. The fills stay visible as the process-section
+/// fft_cache.misses.
+class untracked_allocations {
+public:
+    untracked_allocations() noexcept;
+    ~untracked_allocations();
+    untracked_allocations(const untracked_allocations&) = delete;
+    untracked_allocations& operator=(const untracked_allocations&) = delete;
+
+private:
+    alloc_counters saved_;
+};
+
 /// Per-simulator observability options (carried in sim_config).
 struct options {
     /// Populate the metrics registry (counters, per-phase histograms).

@@ -69,9 +69,7 @@ scenario_result run_scenario(const scenario_spec& spec, run_options options) {
     const auto start = std::chrono::steady_clock::now();
 
     const ns::engine::mc_runner runner(
-        {.rounds_per_task = 0,  // replicas never split mid-stream
-         .num_threads = options.num_threads,
-         .parallel = options.parallel});
+        {.num_threads = options.num_threads, .parallel = options.parallel});
     std::vector<replica_result> replicas = runner.run_indexed(
         spec.replicas,
         [&](std::size_t r) { return run_scenario_replica(spec, r); });

@@ -302,10 +302,10 @@ struct sim_result {
     /// grouping is off).
     std::size_t num_groups = 0;
 
-    /// Appends another result's rounds and adds its totals. Used by the
-    /// parallel Monte-Carlo runner (engine/mc_runner) to combine
-    /// independent round-blocks; merging in task order keeps the combined
-    /// statistics identical regardless of execution order.
+    /// Appends another result's rounds and adds its totals. The scenario
+    /// runner combines independent replicas with it; merging in replica
+    /// order keeps the combined statistics identical regardless of
+    /// execution order.
     void merge(const sim_result& other);
 
     /// Fraction of transmitted packets that passed CRC.

@@ -155,9 +155,7 @@ std::vector<scenario::scenario_result> run_sweep(
     }
 
     const ns::engine::mc_runner runner(
-        {.rounds_per_task = 0,
-         .num_threads = options.num_threads,
-         .parallel = options.parallel});
+        {.num_threads = options.num_threads, .parallel = options.parallel});
     std::vector<scenario::replica_result> outcomes =
         runner.run_indexed(tasks.size(), [&](std::size_t i) {
             const task_ref& task = tasks[i];

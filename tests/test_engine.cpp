@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "netscatter/dsp/fft.hpp"
@@ -109,111 +114,96 @@ TEST(split_seed, deterministic_and_distinct) {
 
 // ------------------------------------------------------------ mc_runner --
 
-ns::sim::sim_config small_sim_config() {
-    ns::sim::sim_config config;
-    config.phy = ns::phy::css_params{.bandwidth_hz = 500e3, .spreading_factor = 7};
-    config.rounds = 4;
-    config.seed = 99;
-    config.zero_padding = 4;
-    return config;
+mc_runner pooled(std::size_t threads) {
+    return mc_runner({.num_threads = threads, .parallel = true});
 }
 
-void expect_same_result(const ns::sim::sim_result& a, const ns::sim::sim_result& b) {
-    EXPECT_EQ(a.total_transmitting, b.total_transmitting);
-    EXPECT_EQ(a.total_delivered, b.total_delivered);
-    EXPECT_EQ(a.total_detected, b.total_detected);
-    EXPECT_EQ(a.total_bit_errors, b.total_bit_errors);
-    EXPECT_EQ(a.total_bits, b.total_bits);
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-        EXPECT_EQ(a.rounds[r].transmitting, b.rounds[r].transmitting) << r;
-        EXPECT_EQ(a.rounds[r].skipped, b.rounds[r].skipped) << r;
-        EXPECT_EQ(a.rounds[r].detected, b.rounds[r].detected) << r;
-        EXPECT_EQ(a.rounds[r].delivered, b.rounds[r].delivered) << r;
-        EXPECT_EQ(a.rounds[r].bit_errors, b.rounds[r].bit_errors) << r;
-        EXPECT_EQ(a.rounds[r].bits_sent, b.rounds[r].bits_sent) << r;
+TEST(mc_runner, run_indexed_returns_results_in_index_order) {
+    // Later indices finish first (shorter sleeps), so completion order
+    // is roughly reversed; the results must still come back by index.
+    constexpr std::size_t count = 24;
+    const auto results = pooled(4).run_indexed(count, [](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50 * (count - i)));
+        return i * i;
+    });
+    ASSERT_EQ(results.size(), count);
+    for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(results[i], i * i) << i;
+}
+
+TEST(mc_runner, run_indexed_parallel_is_bit_identical_to_serial) {
+    // Each task is a pure function of its index through split_seed; the
+    // non-dyadic Gaussian sums would expose any cross-task leakage or
+    // reordering, bit for bit.
+    const auto task = [](std::size_t i) {
+        ns::util::rng gen(split_seed(2024, i, 0));
+        std::vector<double> draws(64);
+        double acc = 0.0;
+        for (double& d : draws) {
+            acc += gen.gaussian() * 1.7e-3;
+            d = acc;
+        }
+        return draws;
+    };
+    constexpr std::size_t count = 37;
+    const auto serial = mc_runner({.num_threads = 1, .parallel = false})
+                            .run_indexed(count, task);
+    ASSERT_EQ(serial.size(), count);
+    for (const std::size_t threads : {1, 3, 8}) {
+        const auto parallel = pooled(threads).run_indexed(count, task);
+        ASSERT_EQ(parallel.size(), count) << threads;
+        for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(parallel[i].size(), serial[i].size());
+            EXPECT_EQ(0, std::memcmp(parallel[i].data(), serial[i].data(),
+                                     serial[i].size() * sizeof(double)))
+                << "task " << i << " at " << threads << " threads";
+        }
     }
 }
 
-TEST(mc_runner, parallel_bit_identical_to_serial) {
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 6, 11);
-    const ns::sim::sim_config config = small_sim_config();
-
-    mc_options serial{.rounds_per_task = 1, .num_threads = 0, .parallel = false};
-    mc_options parallel{.rounds_per_task = 1, .num_threads = 4, .parallel = true};
-    const ns::sim::sim_result a = mc_runner(serial).run(dep, config);
-    const ns::sim::sim_result b = mc_runner(parallel).run(dep, config);
-
-    ASSERT_EQ(a.rounds.size(), config.rounds);
-    expect_same_result(a, b);
+TEST(mc_runner, run_indexed_zero_tasks_returns_empty_without_calling) {
+    std::atomic<int> calls{0};
+    const auto task = [&](std::size_t i) {
+        ++calls;
+        return i;
+    };
+    EXPECT_TRUE(pooled(4).run_indexed(0, task).empty());
+    EXPECT_TRUE(mc_runner({.parallel = false}).run_indexed(0, task).empty());
+    EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(mc_runner, matches_manual_block_decomposition) {
-    // The runner's result must equal running each block's simulator by
-    // hand with the split seeds and merging in order.
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 4, 12);
-    ns::sim::sim_config config = small_sim_config();
-    config.rounds = 3;
-
-    mc_options options{.rounds_per_task = 2, .num_threads = 2, .parallel = true};
-    const ns::sim::sim_result runner_result = mc_runner(options).run(dep, config);
-
-    ns::sim::sim_result manual;
-    const std::size_t blocks[] = {2, 1};  // 3 rounds in blocks of 2
-    for (std::size_t b = 0; b < 2; ++b) {
-        ns::sim::sim_config block_config = config;
-        block_config.rounds = blocks[b];
-        block_config.seed = split_seed(config.seed, 0, b);
-        ns::sim::network_simulator sim(dep, block_config);
-        manual.merge(sim.run());
-    }
-    expect_same_result(runner_result, manual);
+TEST(mc_runner, run_indexed_single_task_runs_on_the_calling_thread) {
+    // One task needs no pool: it runs inline even under a parallel policy.
+    const auto results = pooled(4).run_indexed(
+        1, [](std::size_t i) { return std::make_pair(i, std::this_thread::get_id()); });
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].first, 0u);
+    EXPECT_EQ(results[0].second, std::this_thread::get_id());
 }
 
-TEST(mc_runner, run_batch_matches_per_job_runs) {
-    std::vector<mc_job> jobs;
-    for (std::size_t n : {3, 5}) {
-        mc_job job;
-        job.num_devices = n;
-        job.deployment_seed = 7;
-        job.config = small_sim_config();
-        job.config.rounds = 2;
-        jobs.push_back(job);
+TEST(mc_runner, run_indexed_task_exception_reaches_the_caller) {
+    std::atomic<int> calls{0};
+    const auto task = [&](std::size_t i) {
+        ++calls;
+        if (i == 3 || i == 7) throw std::runtime_error("task " + std::to_string(i));
+        return i;
+    };
+    // Serial: the first failure stops the run.
+    try {
+        mc_runner({.parallel = false}).run_indexed(10, task);
+        FAIL() << "serial run swallowed the exception";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "task 3");
     }
-
-    mc_options parallel{.rounds_per_task = 1, .num_threads = 3, .parallel = true};
-    mc_options serial = parallel;
-    serial.parallel = false;
-    const auto par = mc_runner(parallel).run_batch(jobs);
-    const auto ser = mc_runner(serial).run_batch(jobs);
-    ASSERT_EQ(par.results.size(), 2u);
-    ASSERT_EQ(ser.results.size(), 2u);
-    ASSERT_EQ(par.deployments.size(), 2u);
-    EXPECT_EQ(par.deployments[1].devices().size(), 5u);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        expect_same_result(par.results[j], ser.results[j]);
+    EXPECT_EQ(calls.load(), 4);
+    // Parallel: every task runs, and the lowest-index failure surfaces.
+    calls = 0;
+    try {
+        pooled(3).run_indexed(10, task);
+        FAIL() << "parallel run swallowed the exception";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "task 3");
     }
-
-    // A single-job batch agrees with run() on the same deployment.
-    const ns::sim::deployment dep(jobs[0].dep_params, jobs[0].num_devices,
-                                  jobs[0].deployment_seed);
-    const auto direct = mc_runner(parallel).run(dep, jobs[0].config);
-    expect_same_result(par.results[0], direct);
-}
-
-TEST(mc_runner, default_keeps_whole_job_in_one_block) {
-    // rounds_per_task = 0 (the default) must not split the job: the
-    // result equals one network_simulator carrying state across all
-    // rounds, seeded with the job's single block seed.
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 5, 13);
-    const ns::sim::sim_config config = small_sim_config();
-
-    const ns::sim::sim_result runner_result = mc_runner().run(dep, config);
-
-    ns::sim::sim_config whole = config;
-    whole.seed = split_seed(config.seed, 0, 0);
-    ns::sim::network_simulator sim(dep, whole);
-    expect_same_result(runner_result, sim.run());
+    EXPECT_EQ(calls.load(), 10);
 }
 
 // ------------------------------------------------------------- fft_plan --

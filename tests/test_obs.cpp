@@ -206,7 +206,7 @@ TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
 
     const auto run_merged = [&](bool parallel, std::size_t threads) {
         const ns::engine::mc_runner runner(
-            {.rounds_per_task = 0, .num_threads = threads, .parallel = parallel});
+            {.num_threads = threads, .parallel = parallel});
         std::vector<metrics_snapshot> parts =
             runner.run_indexed(replicas, replica_snapshot);
         metrics_snapshot merged;

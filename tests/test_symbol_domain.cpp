@@ -12,10 +12,12 @@
 #include <cstdlib>
 #include <new>
 #include <numbers>
+#include <thread>
 
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
 #include "netscatter/channel/superposition.hpp"
+#include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/engine/thread_pool.hpp"
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/dsp/peak.hpp"
@@ -604,6 +606,44 @@ TEST(sample_path_metrics, superpose_splits_into_sweep_and_noise) {
     EXPECT_LT(elems, tx * config.frame.netscatter_symbols() * sps);
 }
 
+TEST(sample_path_allocations, round_allocs_do_not_depend_on_a_warm_fft_plan_cache) {
+    // Replicas share the process-wide FFT plan cache; the replica thread
+    // that reaches a plan size first fills it. That fill must not show
+    // in the replica's own per-round allocation figures, or round.allocs
+    // changes with pool scheduling. The same replica is run twice, each
+    // on a fresh thread (empty per-thread plan memo): first against an
+    // emptied cache, then against the cache the first run filled.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 32, 9);
+    ns::sim::sim_config config;
+    config.rounds = 2;
+    config.seed = 4;
+    config.fidelity = ns::sim::phy_fidelity::sample;
+    const auto run_on_fresh_thread = [&] {
+        ns::sim::sim_result result;
+        std::thread([&] {
+            ns::sim::network_simulator sim(dep, config);
+            result = sim.run();
+        }).join();
+        return result;
+    };
+
+    ns::engine::fft_plan_cache::instance().clear();
+    const ns::sim::sim_result cold = run_on_fresh_thread();
+    const ns::sim::sim_result warm = run_on_fresh_thread();
+    const ns::obs::histogram_sample* a = cold.metrics.find_histogram("round.allocs");
+    const ns::obs::histogram_sample* b = warm.metrics.find_histogram("round.allocs");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->count, config.rounds);
+    EXPECT_EQ(a->count, b->count);
+    EXPECT_EQ(a->sum, b->sum);
+    EXPECT_EQ(a->max, b->max);
+    EXPECT_EQ(a->buckets, b->buckets);
+    EXPECT_EQ(cold.metrics.counter_value("alloc.warmup_count"),
+              warm.metrics.counter_value("alloc.warmup_count"));
+}
+
 TEST(interference_allocations, lora_frame_step_allocates_only_the_returned_vector) {
     // A LoRa interferer writes its symbol values and chirps into warm
     // buffers: once the first frame has sized them, each further event
@@ -657,8 +697,8 @@ batch_round make_batch_round(std::size_t devices, std::uint64_t seed,
     return round;
 }
 
-std::vector<cvec> run_batch_round(const batch_round& round,
-                                  ns::engine::block_runner* pool) {
+std::vector<cvec> superpose_batch_round(const batch_round& round,
+                                        ns::engine::block_runner* pool) {
     ns::channel::channel_workspace ws;
     ws.block_pool = pool;
     ns::channel::channel_config chan;
@@ -706,9 +746,9 @@ TEST(kernel_batch, simd_backend_is_bit_identical_to_scalar_reference) {
         std::vector<cvec> scalar_spectra;
         {
             scoped_scalar_accumulation pin;
-            scalar_spectra = run_batch_round(round, nullptr);
+            scalar_spectra = superpose_batch_round(round, nullptr);
         }
-        const std::vector<cvec> dispatched = run_batch_round(round, nullptr);
+        const std::vector<cvec> dispatched = superpose_batch_round(round, nullptr);
         expect_spectra_bit_identical(scalar_spectra, dispatched,
                                      ns::channel::kernel_accumulate_backend());
     }
@@ -719,10 +759,10 @@ TEST(kernel_batch, intra_round_threads_are_bit_identical) {
     // packet order, so the spectra must be element-wise bit-identical no
     // matter how symbol blocks land on threads — serial included.
     const batch_round round = make_batch_round(48, 32);
-    const std::vector<cvec> serial = run_batch_round(round, nullptr);
+    const std::vector<cvec> serial = superpose_batch_round(round, nullptr);
     for (const std::size_t threads : {1ul, 2ul, 8ul}) {
         ns::engine::block_runner pool(threads);
-        const std::vector<cvec> pooled = run_batch_round(round, &pool);
+        const std::vector<cvec> pooled = superpose_batch_round(round, &pool);
         expect_spectra_bit_identical(
             serial, pooled,
             threads == 1 ? "1 thread" : (threads == 2 ? "2 threads"
