@@ -11,8 +11,7 @@ backscatter_device::backscatter_device(std::uint32_t id, device_params params,
     : id_(id),
       params_(params),
       rng_(seed),
-      detector_(params.detector, rng_.fork()),
-      network_() {
+      detector_(params.detector, rng_.fork()) {
     static_cfo_hz_ = params_.crystal.sample_static_offset_hz(rng_);
 }
 
@@ -21,13 +20,13 @@ void backscatter_device::force_associate(std::uint32_t shift,
                                          std::size_t gain_level) {
     ns::util::require(shift < params_.phy.num_bins(),
                       "force_associate: shift out of range");
-    ns::util::require(gain_level < network_.num_levels(),
+    ns::util::require(gain_level < switch_network::num_levels(),
                       "force_associate: gain level out of range");
     state_ = device_state::associated;
     assigned_shift_ = shift;
     gain_level_ = gain_level;
     baseline_rssi_dbm_ = baseline_query_rssi_dbm;
-    baseline_gain_db_ = network_.gain_db(gain_level);
+    baseline_gain_db_ = switch_network::gain_db(gain_level);
     consecutive_skips_ = 0;
 }
 
@@ -40,7 +39,7 @@ transmit_intent backscatter_device::request_association(double measured_rssi_dbm
                           ? snr_region::low
                           : snr_region::high;
     baseline_rssi_dbm_ = measured_rssi_dbm;
-    baseline_gain_db_ = network_.gain_db(gain_level_);
+    baseline_gain_db_ = switch_network::gain_db(gain_level_);
     consecutive_skips_ = 0;
     state_ = device_state::awaiting_ack;
 
@@ -84,7 +83,7 @@ transmit_intent backscatter_device::handle_query(
             consecutive_skips_ = 0;
             intent.action = device_action::association_ack;
             intent.cyclic_shift = assigned_shift_;
-            intent.gain_db = network_.gain_db(gain_level_);
+            intent.gain_db = switch_network::gain_db(gain_level_);
             stamp_impairments(intent);
             return intent;
         }
@@ -109,8 +108,8 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
     // by 2d (and raises it when the query weakens).
     const double downlink_delta_db = measured_rssi_dbm - baseline_rssi_dbm_;
     const double desired_gain_db = baseline_gain_db_ - 2.0 * downlink_delta_db;
-    const std::size_t level = network_.nearest_level(desired_gain_db);
-    const double achieved_gain_db = network_.gain_db(level);
+    const std::size_t level = switch_network::nearest_level(desired_gain_db);
+    const double achieved_gain_db = switch_network::gain_db(level);
 
     // Residual uplink deviation from the association-time operating point
     // after the best available compensation.

@@ -110,7 +110,7 @@ public:
     std::uint32_t cyclic_shift() const { return assigned_shift_; }
 
     /// Currently selected power gain in dB.
-    double current_gain_db() const { return network_.gain_db(gain_level_); }
+    double current_gain_db() const { return switch_network::gain_db(gain_level_); }
 
     /// Static crystal frequency offset of this device, Hz.
     double static_frequency_offset_hz() const { return static_cfo_hz_; }
@@ -122,12 +122,13 @@ public:
     /// query is weaker than low_rssi_threshold_dbm (a far device), the
     /// middle level otherwise (headroom both ways).
     std::size_t association_gain_level(double query_rssi_dbm) const {
-        return query_rssi_dbm < params_.low_rssi_threshold_dbm ? network_.max_level()
-                                                               : network_.middle_level();
+        return query_rssi_dbm < params_.low_rssi_threshold_dbm
+                   ? switch_network::max_level()
+                   : switch_network::middle_level();
     }
     /// Gain in dB of association_gain_level(query_rssi_dbm).
     double association_gain_db(double query_rssi_dbm) const {
-        return network_.gain_db(association_gain_level(query_rssi_dbm));
+        return switch_network::gain_db(association_gain_level(query_rssi_dbm));
     }
 
     /// Forces the associated state with the given shift — used by tests
@@ -147,7 +148,6 @@ private:
     device_params params_;
     ns::util::rng rng_;
     envelope_detector detector_;
-    switch_network network_;
 
     device_state state_ = device_state::unassociated;
     std::uint32_t assigned_shift_ = 0;

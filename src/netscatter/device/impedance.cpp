@@ -38,29 +38,21 @@ double z0_for_gain_db(double target_gain_db, double reference_ohm) {
     return reference_ohm * (1.0 + gamma0) / (1.0 - gamma0);
 }
 
-switch_network::switch_network(std::vector<double> gain_levels_db)
-    : gains_db_(std::move(gain_levels_db)) {
-    ns::util::require(!gains_db_.empty(), "switch_network: need at least one level");
-    std::sort(gains_db_.begin(), gains_db_.end(), std::greater<>());
-    z0_ohms_.reserve(gains_db_.size());
-    for (double g : gains_db_) z0_ohms_.push_back(z0_for_gain_db(g));
+double switch_network::gain_db(std::size_t index) {
+    ns::util::require(index < num_levels(), "switch_network: level out of range");
+    return hardware_gain_levels[index].gain_db;
 }
 
-double switch_network::gain_db(std::size_t index) const {
-    ns::util::require(index < gains_db_.size(), "switch_network: level out of range");
-    return gains_db_[index];
+double switch_network::z0_ohm(std::size_t index) {
+    ns::util::require(index < num_levels(), "switch_network: level out of range");
+    return hardware_gain_levels[index].z0_ohm;
 }
 
-double switch_network::z0_ohm(std::size_t index) const {
-    ns::util::require(index < z0_ohms_.size(), "switch_network: level out of range");
-    return z0_ohms_[index];
-}
-
-std::size_t switch_network::nearest_level(double target_db) const {
+std::size_t switch_network::nearest_level(double target_db) {
     std::size_t best = 0;
     double best_err = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < gains_db_.size(); ++i) {
-        const double err = std::abs(gains_db_[i] - target_db);
+    for (std::size_t i = 0; i < num_levels(); ++i) {
+        const double err = std::abs(hardware_gain_levels[i].gain_db - target_db);
         if (err < best_err) {
             best_err = err;
             best = i;

@@ -11,8 +11,8 @@
 // the magnitude-based gain does not see).
 #pragma once
 
-#include <complex>
-#include <vector>
+#include <array>
+#include <cstddef>
 
 namespace ns::device {
 
@@ -39,41 +39,45 @@ double backscatter_power_gain_db(double z0_ohm, double z1_ohm,
 double z0_for_gain_db(double target_gain_db,
                       double reference_ohm = antenna_impedance_ohm);
 
-/// The three power gain levels of the NetScatter hardware, in dB.
-inline const std::vector<double>& hardware_gain_levels_db() {
-    static const std::vector<double> levels = {0.0, -4.0, -10.0};
-    return levels;
-}
+/// One selectable power level of the switch network: its gain and the
+/// Z0 that realizes it with Z1 an open circuit (z0_ohm is exactly
+/// z0_for_gain_db(gain_db); a test pins the literals to it).
+struct gain_level {
+    double gain_db;
+    double z0_ohm;
+};
 
-/// A configured switch network: a set of discrete gain levels, each
-/// backed by the impedance that realizes it.
+/// The three power levels of the NetScatter hardware, strongest first:
+/// 0, -4 and -10 dB (Fig. 16).
+inline constexpr std::array<gain_level, 3> hardware_gain_levels{{
+    {0.0, 0.0},
+    {-4.0, 29.244659623055671},
+    {-10.0, 108.11388300841897},
+}};
+
+/// The switch network's level table (§3.2.3, Fig. 7b). Level 0 is the
+/// strongest; the table is a compile-time constant, so the network
+/// carries no state.
 class switch_network {
 public:
-    /// Builds a network for the given gain levels (dB, each <= 0).
-    explicit switch_network(std::vector<double> gain_levels_db = hardware_gain_levels_db());
-
     /// Number of selectable power levels.
-    std::size_t num_levels() const { return gains_db_.size(); }
+    static constexpr std::size_t num_levels() { return hardware_gain_levels.size(); }
 
     /// Gain of level `index` in dB (level 0 is the strongest).
-    double gain_db(std::size_t index) const;
+    static double gain_db(std::size_t index);
 
     /// Impedance Z0 used for level `index` (Z1 is an open circuit).
-    double z0_ohm(std::size_t index) const;
+    static double z0_ohm(std::size_t index);
 
     /// Index of the strongest level (maximum gain).
-    std::size_t max_level() const { return 0; }
+    static constexpr std::size_t max_level() { return 0; }
 
     /// Index of the middle level (the association default for high-RSSI
     /// devices, §3.2.3).
-    std::size_t middle_level() const { return gains_db_.size() / 2; }
+    static constexpr std::size_t middle_level() { return num_levels() / 2; }
 
     /// Index whose gain is closest to `target_db`.
-    std::size_t nearest_level(double target_db) const;
-
-private:
-    std::vector<double> gains_db_;   // sorted descending (0 dB first)
-    std::vector<double> z0_ohms_;
+    static std::size_t nearest_level(double target_db);
 };
 
 }  // namespace ns::device

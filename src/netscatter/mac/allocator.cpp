@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <numeric>
 
 #include "netscatter/util/error.hpp"
 
@@ -63,14 +64,19 @@ std::uint32_t shift_allocator::circular_distance(std::uint32_t a, std::uint32_t 
     return std::min(diff, num_bins - diff);
 }
 
-allocation_result shift_allocator::allocate(std::vector<device_power> devices) const {
+std::vector<std::uint32_t> shift_allocator::allocate(
+    std::span<const device_power> devices) const {
     ns::util::require(devices.size() <= data_slot_shifts_.size(),
                       "shift_allocator: more devices than data slots");
     // Strongest devices closest to bin 0 (spectrum edges), weakest at
     // mid-band; ties broken by device id for determinism.
-    std::sort(devices.begin(), devices.end(), [](const device_power& a, const device_power& b) {
-        if (a.rx_power_dbm != b.rx_power_dbm) return a.rx_power_dbm > b.rx_power_dbm;
-        return a.device_id < b.device_id;
+    std::vector<std::size_t> rank(devices.size());
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
+        if (devices[a].rx_power_dbm != devices[b].rx_power_dbm) {
+            return devices[a].rx_power_dbm > devices[b].rx_power_dbm;
+        }
+        return devices[a].device_id < devices[b].device_id;
     });
     // When the population is below capacity, select an evenly-strided
     // subset of the slot circle so devices spread out — the effective
@@ -95,11 +101,9 @@ allocation_result shift_allocator::allocate(std::vector<device_power> devices) c
         return a < b;
     });
 
-    allocation_result result;
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        result.shifts[devices[i].device_id] = selected[i];
-    }
-    return result;
+    std::vector<std::uint32_t> shifts(devices.size());
+    for (std::size_t i = 0; i < rank.size(); ++i) shifts[rank[i]] = selected[i];
+    return shifts;
 }
 
 std::optional<std::uint32_t> shift_allocator::assign_incremental(

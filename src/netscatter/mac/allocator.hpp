@@ -18,7 +18,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "netscatter/device/backscatter_device.hpp"
@@ -39,12 +39,6 @@ struct device_power {
     double rx_power_dbm = 0.0;  ///< backscatter signal strength at the AP
 };
 
-/// Result of a batch allocation.
-struct allocation_result {
-    /// device_id -> assigned cyclic shift (slot * SKIP).
-    std::unordered_map<std::uint32_t, std::uint32_t> shifts;
-};
-
 /// Power-aware cyclic-shift allocator.
 class shift_allocator {
 public:
@@ -61,9 +55,11 @@ public:
     /// bin 0 (i.e. strongest-first placement order).
     const std::vector<std::uint32_t>& placement_order() const { return data_slot_shifts_; }
 
-    /// Batch (re)allocation: sorts by descending power and assigns slots
-    /// in placement order. Throws when there are more devices than slots.
-    allocation_result allocate(std::vector<device_power> devices) const;
+    /// Batch (re)allocation: ranks by descending power (ties by device
+    /// id) and assigns slots in placement order. Returns the assigned
+    /// cyclic shift (slot * SKIP) of each input device, in input order.
+    /// Throws when there are more devices than slots.
+    std::vector<std::uint32_t> allocate(std::span<const device_power> devices) const;
 
     /// Incremental assignment for one joining device given the powers of
     /// devices already placed: picks the free slot whose neighbours are

@@ -92,18 +92,26 @@ std::optional<std::uint32_t> access_point::shift_of(std::uint32_t device_id) con
 
 std::size_t access_point::regroup(std::size_t group_capacity) {
     ns::util::require(group_capacity >= 1, "regroup: capacity must be >= 1");
+    const std::size_t num_groups =
+        table_.empty() ? 0 : (table_.size() - 1) / group_capacity + 1;
+    ns::util::require(num_groups <= max_groups,
+                      "regroup: population needs more groups than the 8-bit "
+                      "group-id field can address; raise group_capacity");
     // Sort by power so each group spans the smallest possible dynamic
     // range, which is exactly why the paper groups by signal strength.
+    // Ties break by device id, so the grouping never depends on the
+    // table's iteration order.
     std::vector<device_record*> records;
     records.reserve(table_.size());
     for (auto& [id, record] : table_) records.push_back(&record);
     std::sort(records.begin(), records.end(), [](const auto* a, const auto* b) {
-        return a->rx_power_dbm > b->rx_power_dbm;
+        if (a->rx_power_dbm != b->rx_power_dbm) return a->rx_power_dbm > b->rx_power_dbm;
+        return a->device_id < b->device_id;
     });
     for (std::size_t i = 0; i < records.size(); ++i) {
         records[i]->group_id = static_cast<std::uint8_t>(i / group_capacity);
     }
-    return records.empty() ? 0 : (records.size() - 1) / group_capacity + 1;
+    return num_groups;
 }
 
 void access_point::run_full_reassignment() {
@@ -112,10 +120,9 @@ void access_point::run_full_reassignment() {
     for (const auto& [id, record] : table_) {
         devices.push_back({id, record.rx_power_dbm});
     }
-    const allocation_result result = allocator_.allocate(std::move(devices));
-    for (auto& [id, record] : table_) {
-        record.cyclic_shift = result.shifts.at(id);
-    }
+    const std::vector<std::uint32_t> shifts = allocator_.allocate(devices);
+    std::size_t i = 0;
+    for (auto& [id, record] : table_) record.cyclic_shift = shifts[i++];
     reassignment_pending_ = true;
     ++full_reassignments_;
 }

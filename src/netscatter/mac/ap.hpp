@@ -14,6 +14,7 @@
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/query_message.hpp"
+#include "netscatter/mac/scheduler.hpp"
 
 namespace ns::mac {
 
@@ -78,8 +79,10 @@ public:
     std::optional<std::uint32_t> shift_of(std::uint32_t device_id) const;
 
     /// Splits the population into groups of at most `group_capacity`
-    /// devices with similar signal strengths (§3.3.3), reassigning
-    /// group_id on every record. Returns the number of groups.
+    /// devices with similar signal strengths (§3.3.3; power ties break by
+    /// device id), reassigning group_id on every record. Returns the
+    /// number of groups. Throws (leaving the table untouched) when the
+    /// population needs more than max_groups groups.
     std::size_t regroup(std::size_t group_capacity);
 
     /// Number of full reassignments performed so far.

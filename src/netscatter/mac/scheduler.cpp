@@ -23,29 +23,26 @@ std::vector<device_group> group_scheduler::partition(
               });
 
     std::vector<device_group> groups;
-    for (const device_power& device : devices) {
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const device_power& device = devices[i];
         const bool need_new_group =
             groups.empty() || groups.back().size() >= params_.group_capacity ||
             (groups.back().max_power_dbm - device.rx_power_dbm) >
                 params_.max_dynamic_range_db;
         if (need_new_group) {
             device_group group;
-            group.group_id = static_cast<std::uint8_t>(groups.size());
+            // One member block per group: a full group or the rest.
+            group.members.reserve(
+                std::min(params_.group_capacity, devices.size() - i));
             group.max_power_dbm = device.rx_power_dbm;
             group.min_power_dbm = device.rx_power_dbm;
             groups.push_back(std::move(group));
         }
         device_group& group = groups.back();
-        group.device_ids.push_back(device.device_id);
+        group.members.push_back(device);
         group.min_power_dbm = device.rx_power_dbm;  // sorted descending
     }
     return groups;
-}
-
-std::uint8_t group_scheduler::group_for_round(std::size_t round_index,
-                                              std::size_t num_groups) {
-    ns::util::require(num_groups >= 1, "group_for_round: need >= 1 group");
-    return static_cast<std::uint8_t>(round_index % num_groups);
 }
 
 std::optional<std::size_t> group_scheduler::admit(

@@ -17,15 +17,18 @@
 
 namespace ns::mac {
 
+/// The query's group-id field is 8 bits (Fig. 11): the AP can address at
+/// most this many groups.
+inline constexpr std::size_t max_groups = 256;
+
 /// One scheduled group.
 struct device_group {
-    std::uint8_t group_id = 0;
-    std::vector<std::uint32_t> device_ids;  ///< strongest first
-    double max_power_dbm = 0.0;             ///< strongest member
-    double min_power_dbm = 0.0;             ///< weakest member
+    std::vector<device_power> members;  ///< strongest first
+    double max_power_dbm = 0.0;         ///< strongest member
+    double min_power_dbm = 0.0;         ///< weakest member
 
     double dynamic_range_db() const { return max_power_dbm - min_power_dbm; }
-    std::size_t size() const { return device_ids.size(); }
+    std::size_t size() const { return members.size(); }
 };
 
 /// Partitioning policy.
@@ -53,11 +56,8 @@ public:
     /// new group whenever the current one is full or admitting the next
     /// device would stretch the group's dynamic range past the limit.
     /// Produces the minimum number of groups for this greedy order.
+    /// Group g is scheduled in the rounds r with r % groups == g.
     std::vector<device_group> partition(std::vector<device_power> devices) const;
-
-    /// Round-robin schedule over `num_groups` groups starting from group
-    /// 0: the group transmitting in round `round_index`.
-    static std::uint8_t group_for_round(std::size_t round_index, std::size_t num_groups);
 
     /// Incremental admission for one joining device: among the groups
     /// with free capacity whose power span, stretched to cover

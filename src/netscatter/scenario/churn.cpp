@@ -16,7 +16,8 @@ churn_process::churn_process(churn_spec spec, std::size_t universe,
       active_(universe, false),
       pending_(universe, false),
       low_region_(std::move(low_region)),
-      contention_(spec.aloha_initial_window, spec.aloha_max_window) {
+      contention_(spec.aloha_initial_window, spec.aloha_max_window),
+      request_round_(universe, 0) {
     ns::util::require(universe > 0, "churn: universe must be non-empty");
     constexpr double max_rate = ns::util::rng::max_poisson_mean;
     ns::util::require(spec_.join_rate_per_round >= 0.0 &&
@@ -152,8 +153,7 @@ churn_events churn_process::step(std::size_t round) {
         total_association_tx_ += contended.requests;
         total_collisions_ += contended.collisions;
         for (std::uint32_t id : contended.granted) {
-            admit(id, request_round_.at(id), round, events, wait_sum);
-            request_round_.erase(id);
+            admit(id, request_round_[id], round, events, wait_sum);
         }
     } else {
         // Serve the association queue: bounded per round and by capacity.

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/mac/aloha.hpp"
@@ -91,7 +90,9 @@ private:
     std::vector<bool> low_region_;
     std::deque<std::pair<std::uint32_t, std::size_t>> queue_;  ///< (id, request round)
     ns::mac::aloha_contention contention_;
-    std::unordered_map<std::uint32_t, std::size_t> request_round_;
+    /// slotted_aloha: round each pending device requested association,
+    /// indexed by device id.
+    std::vector<std::size_t> request_round_;
     std::vector<std::uint32_t> initial_active_;
     std::vector<double> join_waits_;
     std::size_t active_count_ = 0;

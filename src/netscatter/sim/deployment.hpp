@@ -57,12 +57,9 @@ struct placed_device {
 /// A generated deployment.
 class deployment {
 public:
-    /// Generates `num_devices` placements with the given seed.
+    /// Generates `num_devices` placements with the given seed. Device ids
+    /// are dense: devices()[i].id == i.
     deployment(deployment_params params, std::size_t num_devices, std::uint64_t seed);
-
-    /// Wraps an explicit set of already-placed devices (used by the group
-    /// scheduler to simulate one group of a larger population).
-    deployment(deployment_params params, std::vector<placed_device> devices);
 
     const std::vector<placed_device>& devices() const { return devices_; }
     const deployment_params& params() const { return params_; }

@@ -186,9 +186,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (const auto initial = hooks_->initial_active()) {
             std::fill(initially_active.begin(), initially_active.end(), false);
             for (std::uint32_t id : *initial) {
-                for (std::size_t i = 0; i < placed.size(); ++i) {
-                    if (placed[i].id == id) initially_active[i] = true;
-                }
+                if (id < placed.size()) initially_active[id] = true;
             }
         }
     }
@@ -198,7 +196,8 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // the AP then runs the power-aware batch allocation it would have
     // converged to over the initially-active population. Slots are built
     // before the shift allocation so partition_into_groups can cache each
-    // device's group index directly on its slot.
+    // device's group index directly on its slot. A device id is its slot
+    // index, so every id-keyed lookup below is a direct index.
     std::vector<ns::mac::device_power> powers;
     powers.reserve(placed.size());
     association_snr_db_.reserve(placed.size());
@@ -206,6 +205,9 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     const double ap_x = dep.ap_x_m();
     const double ap_y = dep.ap_y_m();
     for (std::size_t i = 0; i < placed.size(); ++i) {
+        ns::util::require(placed[i].id == i,
+                          "network_simulator: deployment ids must be dense "
+                          "(devices()[i].id == i)");
         const bool active = initially_active[i];
         device_slot slot{
             .placement = placed[i],
@@ -226,7 +228,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (active) powers.push_back({placed[i].id, uplink_dbm});
         association_snr_db_.push_back(uplink_dbm - noise_floor_dbm_);
         if (active) ++active_count_;
-        slot_index_[placed[i].id] = slots_.size();
         slots_.push_back(std::move(slot));
     }
     // Reserved to the universe size so churn never reallocates the list
@@ -236,26 +237,25 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (slots_[i].active) active_slots_.push_back(i);
     }
 
+    const auto associate = [this](std::size_t i, std::uint32_t shift) {
+        associate_slot(i, shift, slots_[i].placement.query_rssi_dbm);
+    };
     if (grouped()) {
         // §3.3.3: partition the initially-active population into
         // signal-strength groups with per-group shift allocations.
-        partition_into_groups(powers);
-    } else if (config_.power_aware_allocation) {
-        allocation_ = allocator_.allocate(powers).shifts;
+        partition_into_groups(powers, associate);
     } else {
-        // Ablation: power-agnostic assignment — same spreading stride, but
-        // slots are handed out in device-id order, so strong and weak
-        // devices land next to each other.
-        std::vector<ns::mac::device_power> by_id = powers;
-        for (auto& p : by_id) p.rx_power_dbm = 0.0;  // identical keys: id order
-        allocation_ = allocator_.allocate(by_id).shifts;
-    }
-
-    for (std::size_t i = 0; i < placed.size(); ++i) {
-        if (!initially_active[i]) continue;
-        device::backscatter_device& device = slots_[i].device;
-        device.force_associate(allocation_.at(placed[i].id), placed[i].query_rssi_dbm,
-                               device.association_gain_level(placed[i].query_rssi_dbm));
+        // Ablation (power_aware_allocation off): power-agnostic
+        // assignment — same spreading stride, but slots are handed out in
+        // device-id order, so strong and weak devices land next to each
+        // other.
+        if (!config_.power_aware_allocation) {
+            for (auto& p : powers) p.rx_power_dbm = 0.0;  // identical keys: id order
+        }
+        const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
+        for (std::size_t k = 0; k < powers.size(); ++k) {
+            associate(powers[k].device_id, shifts[k]);
+        }
     }
     register_active_shifts();
 
@@ -350,10 +350,14 @@ void network_simulator::mark_inactive(std::size_t slot_index) {
     if (it != active_slots_.end() && *it == slot_index) active_slots_.erase(it);
 }
 
+std::optional<std::uint32_t> network_simulator::shift_of(std::uint32_t device_id) const {
+    if (device_id >= slots_.size() || !slots_[device_id].active) return std::nullopt;
+    return slots_[device_id].device.cyclic_shift();
+}
+
 std::optional<std::size_t> network_simulator::group_of(std::uint32_t device_id) const {
-    const auto it = slot_index_.find(device_id);
-    if (it == slot_index_.end()) return std::nullopt;
-    const std::size_t g = slots_[it->second].group;
+    if (device_id >= slots_.size()) return std::nullopt;
+    const std::size_t g = slots_[device_id].group;
     if (g == device_slot::no_group) return std::nullopt;
     return g;
 }
@@ -365,12 +369,9 @@ ns::mac::group_scheduler network_simulator::make_scheduler() const {
         .max_dynamic_range_db = config_.grouping.max_dynamic_range_db});
 }
 
+template <class Assign>
 void network_simulator::partition_into_groups(
-    const std::vector<ns::mac::device_power>& powers) {
-    std::unordered_map<std::uint32_t, double> power_of;
-    power_of.reserve(powers.size());
-    for (const auto& p : powers) power_of[p.device_id] = p.rx_power_dbm;
-
+    const std::vector<ns::mac::device_power>& powers, Assign&& assign) {
     const std::vector<ns::mac::device_group> partition =
         make_scheduler().partition(powers);
     ns::util::require(partition.size() <= max_groups,
@@ -378,7 +379,6 @@ void network_simulator::partition_into_groups(
                       "group-id field can address; raise group_capacity or "
                       "max_dynamic_range_db");
 
-    allocation_.clear();
     for (auto& slot : slots_) slot.group = device_slot::no_group;
     group_spans_.clear();
     group_spans_.reserve(partition.size());
@@ -389,14 +389,12 @@ void network_simulator::partition_into_groups(
                                 .max_power_dbm = group.max_power_dbm});
         // Shifts are allocated per group: one group transmits per query,
         // so devices of different groups may share a shift.
-        std::vector<ns::mac::device_power> members;
-        members.reserve(group.size());
-        for (std::uint32_t id : group.device_ids) {
-            slots_[slot_index_.at(id)].group = g;
-            members.push_back({id, power_of.at(id)});
+        const std::vector<std::uint32_t> shifts = allocator_.allocate(group.members);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            const std::size_t i = group.members[k].device_id;
+            slots_[i].group = g;
+            assign(i, shifts[k]);
         }
-        const auto shifts = allocator_.allocate(members).shifts;
-        for (std::uint32_t id : group.device_ids) allocation_[id] = shifts.at(id);
     }
     if (group_acc_.size() < group_spans_.size()) group_acc_.resize(group_spans_.size());
 }
@@ -407,20 +405,18 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
     for (const std::size_t i : active_slots_) {
         powers.push_back({slots_[i].placement.id, slots_[i].uplink_dbm()});
     }
-    partition_into_groups(powers);
     // Every active device takes its freshly-allocated shift — if it hears
     // the ordering query. A device that misses it keeps transmitting on
     // the shift it last learned (§3.3.3 stale-schedule desync) until the
     // next regroup broadcast it hears resynchronizes it, or the lease
     // evicts it as silent. The stateless query-loss hash guarantees the
     // device loop sees the same heard/missed answer this round.
-    for (const std::size_t i : active_slots_) {
+    partition_into_groups(powers, [&](std::size_t i, std::uint32_t new_shift) {
         device_slot& slot = slots_[i];
         const std::uint32_t old_shift =
             slot.desynced ? slot.stale_shift : slot.device.cyclic_shift();
-        const std::uint32_t new_shift = allocation_.at(slot.placement.id);
         associate_slot(i, new_shift, slot.placement.query_rssi_dbm);
-        if (!fault_injector_ || slot.down) continue;
+        if (!fault_injector_ || slot.down) return;
         const bool heard = !fault_injector_->query_lost(
             slot.placement.id, slot.placement.query_rssi_dbm);
         if (heard) {
@@ -431,7 +427,7 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
             slot.desync_round = round;
             ++outcome.desyncs;
         }
-    }
+    });
     misfits_since_regroup_ = 0;
     outcome.realloc_events += powers.size();
     ++outcome.regroups;
@@ -456,7 +452,6 @@ void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shi
     device_slot& slot = slots_[slot_index];
     slot.device.force_associate(shift, baseline_rssi_dbm,
                                 slot.device.association_gain_level(baseline_rssi_dbm));
-    allocation_[slot.placement.id] = shift;
 }
 
 bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
@@ -501,10 +496,10 @@ bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
             members.push_back({s.placement.id, s.uplink_dbm()});
         }
         members.push_back({slot.placement.id, join_power});
-        const auto shifts = allocator_.allocate(members).shifts;
-        for (const auto& member : members) {
-            associate_slot(slot_index_.at(member.device_id), shifts.at(member.device_id),
-                           slots_[slot_index_.at(member.device_id)].placement.query_rssi_dbm);
+        const std::vector<std::uint32_t> shifts = allocator_.allocate(members);
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            const std::size_t i = members[k].device_id;
+            associate_slot(i, shifts[k], slots_[i].placement.query_rssi_dbm);
         }
         outcome.realloc_events += members.size();
         ++outcome.full_reassignments;
@@ -524,7 +519,6 @@ void network_simulator::deactivate_slot(std::size_t slot_index) {
     device_slot& slot = slots_[slot_index];
     slot.active = false;
     mark_inactive(slot_index);
-    allocation_.erase(slot.placement.id);
     if (slot.group != device_slot::no_group) {
         // The span stays stretched until the next regroup re-tightens
         // it — the AP only learns the true spread when it repartitions.
@@ -564,10 +558,8 @@ void network_simulator::apply_ack_faults(std::vector<std::uint32_t>& joins,
             // Every replay lost: the AP abandons the handshake and the
             // joiner must contend again through the Aloha path.
             ++outcome.ack_timeouts;
-            const auto it = slot_index_.find(id);
-            if (it != slot_index_.end()) {
-                go_down(it->second, round, member_loss_reason::ack_timeout,
-                        outcome);
+            if (id < slots_.size()) {
+                go_down(id, round, member_loss_reason::ack_timeout, outcome);
             }
         } else if (losses > 0) {
             pending_acks_.push_back({id, round + losses});
@@ -647,9 +639,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
                                          std::size_t round, bool blackout) {
     // Mobility first: joins below must see this round's link budget.
     for (const link_update& update : plan.link_updates) {
-        const auto it = slot_index_.find(update.device_id);
-        if (it == slot_index_.end()) continue;
-        device_slot& slot = slots_[it->second];
+        if (update.device_id >= slots_.size()) continue;
+        device_slot& slot = slots_[update.device_id];
         slot.placement.query_rssi_dbm = update.query_rssi_dbm;
         slot.placement.uplink_rx_dbm = update.uplink_rx_dbm;
         slot.tof_s = update.tof_s;
@@ -657,9 +648,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 
     for (std::uint32_t id : plan.leaves) {
-        const auto it = slot_index_.find(id);
-        if (it == slot_index_.end() || !slots_[it->second].active) continue;
-        deactivate_slot(it->second);
+        if (id >= slots_.size() || !slots_[id].active) continue;
+        deactivate_slot(id);
         ++outcome.leaves;
     }
 
@@ -687,32 +677,31 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 
     for (std::uint32_t id : *joins) {
-        const auto it = slot_index_.find(id);
-        if (it == slot_index_.end()) continue;
-        if (slots_[it->second].active) {
-            if (!slots_[it->second].down) continue;
+        if (id >= slots_.size()) continue;
+        device_slot& slot = slots_[id];
+        if (slot.active) {
+            if (!slot.down) continue;
             // §3.3.4 re-association of a device the AP still lists as a
             // member: drop the stale entry (reclaiming its old shift)
             // and re-admit it like any joiner.
-            deactivate_slot(it->second);
+            deactivate_slot(id);
         }
         if (!grouped() && active_count_ >= allocator_.num_data_slots()) {
             ++outcome.rejected_joins;
             continue;
         }
-        device_slot& slot = slots_[it->second];
         const double join_power =
             slot.placement.uplink_rx_dbm +
             slot.device.association_gain_db(slot.placement.query_rssi_dbm);
 
         if (grouped()) {
             // §3.3.3: best-fit group admission with per-group allocation.
-            if (!admit_grouped(it->second, join_power, outcome)) continue;
+            if (!admit_grouped(id, join_power, outcome)) continue;
         } else {
             const auto incremental =
                 allocator_.assign_incremental(join_power, occupied_powers());
             if (incremental) {
-                associate_slot(it->second, *incremental, slot.placement.query_rssi_dbm);
+                associate_slot(id, *incremental, slot.placement.query_rssi_dbm);
                 ++outcome.realloc_events;
             } else {
                 // The incremental allocator cannot fit the newcomer next to
@@ -723,18 +712,17 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
                     powers.push_back({slots_[i].placement.id, slots_[i].uplink_dbm()});
                 }
                 powers.push_back({id, join_power});
-                const auto shifts = allocator_.allocate(powers).shifts;
-                for (const std::size_t i : active_slots_) {
-                    associate_slot(i, shifts.at(slots_[i].placement.id),
-                                   slots_[i].placement.query_rssi_dbm);
+                const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
+                for (std::size_t k = 0; k < powers.size(); ++k) {
+                    const std::size_t i = powers[k].device_id;
+                    associate_slot(i, shifts[k], slots_[i].placement.query_rssi_dbm);
                 }
-                associate_slot(it->second, shifts.at(id), slot.placement.query_rssi_dbm);
                 outcome.realloc_events += powers.size();
                 ++outcome.full_reassignments;
             }
         }
         slot.active = true;
-        mark_active(it->second);
+        mark_active(id);
         ++active_count_;
         ++outcome.joins;
         membership_dirty_ = true;
@@ -870,9 +858,8 @@ void network_simulator::grouping_phase(round_state& rs) {
     }
 
     // One group transmits per query, round-robin (§3.3.3); the receiver
-    // only watches the scheduled group's shifts. (Full-width modulo — the
-    // 8-bit group_for_round is safe only because group creation is
-    // capped at max_groups, but don't rely on it here.)
+    // only watches the scheduled group's shifts. Group creation is capped
+    // at max_groups, so the index always fits the 8-bit group-id field.
     if (grouped() && !group_spans_.empty()) {
         rs.scheduled_group = round % group_spans_.size();
         rs.outcome.scheduled_group = static_cast<int>(rs.scheduled_group);
@@ -989,7 +976,7 @@ void network_simulator::synth_phase(round_state& rs) {
                                                   : std::nullopt));
                 }
                 const std::uint32_t shift = moved ? *moved : slot.device.cyclic_shift();
-                associate_slot(slot_index_.at(slot.placement.id), shift, query_rssi);
+                associate_slot(slot_idx, shift, query_rssi);
                 ++outcome.reassociations;
                 ++outcome.realloc_events;
                 membership_dirty_ = true;

@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/channel/fading.hpp"
@@ -384,17 +383,17 @@ inline constexpr outcome_counter outcome_counters[] = {
 class network_simulator {
 public:
     /// `hooks` (optional, non-owning, may be nullptr) must outlive the
-    /// simulator.
+    /// simulator. A device id is its index in the deployment
+    /// (dep.devices()[i].id == i, checked); ids a hook names outside the
+    /// deployment are ignored.
     network_simulator(const deployment& dep, sim_config config,
                       round_hooks* hooks = nullptr);
 
     /// Runs the configured number of rounds.
     sim_result run();
 
-    /// Cyclic shift of each currently-associated device.
-    const std::unordered_map<std::uint32_t, std::uint32_t>& allocation() const {
-        return allocation_;
-    }
+    /// Cyclic shift of a device, if currently associated.
+    std::optional<std::uint32_t> shift_of(std::uint32_t device_id) const;
 
     /// The uplink SNR (dB, at the association-time gain) per device.
     const std::vector<double>& association_snrs_db() const { return association_snr_db_; }
@@ -409,7 +408,7 @@ public:
     /// address at most this many groups. A partition needing more throws
     /// at construction/regroup; a join that would open group 257 is
     /// rejected.
-    static constexpr std::size_t max_groups = 256;
+    static constexpr std::size_t max_groups = ns::mac::max_groups;
 
     /// Current group count (0 when grouping is off).
     std::size_t num_groups() const { return group_spans_.size(); }
@@ -496,10 +495,13 @@ private:
     /// Refreshes the receiver's registered shifts from the active set
     /// (restricted to `group` when set — the scheduled group's round).
     void register_active_shifts(std::optional<std::size_t> group = std::nullopt);
-    /// Partitions `powers` into signal-strength groups and fills the
-    /// slots' cached group indices, group_spans_ and allocation_ with
-    /// per-group allocations.
-    void partition_into_groups(const std::vector<ns::mac::device_power>& powers);
+    /// Partitions `powers` (device ids are slot indices) into
+    /// signal-strength groups, fills the slots' cached group indices and
+    /// group_spans_, and allocates each group's shifts: calls
+    /// assign(slot_index, shift) once per member.
+    template <class Assign>
+    void partition_into_groups(const std::vector<ns::mac::device_power>& powers,
+                               Assign&& assign);
     /// Scheduler configured from config_.grouping (capacity clamped to
     /// the allocator's slot count).
     ns::mac::group_scheduler make_scheduler() const;
@@ -588,14 +590,12 @@ private:
     sim_config config_;
     round_hooks* hooks_ = nullptr;
     ns::util::rng rng_;
-    std::vector<device_slot> slots_;
-    std::unordered_map<std::uint32_t, std::size_t> slot_index_;  ///< id -> slot
+    std::vector<device_slot> slots_;  ///< indexed by device id
     /// Sorted indices of the active slots — every per-round walk runs
     /// over this list instead of the full universe, so a 100k-device
     /// deployment with a few hundred associated devices never streams
     /// 100k slot structs through the cache each round.
     std::vector<std::size_t> active_slots_;
-    std::unordered_map<std::uint32_t, std::uint32_t> allocation_;
     std::vector<double> association_snr_db_;
     ns::mac::shift_allocator allocator_;
     double noise_floor_dbm_ = 0.0;  ///< receiver noise floor over the band

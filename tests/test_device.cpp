@@ -62,20 +62,21 @@ TEST(impedance, z0_for_gain_inverts_gain) {
 }
 
 TEST(impedance, hardware_levels_are_paper_values) {
-    const auto& levels = hardware_gain_levels_db();
-    ASSERT_EQ(levels.size(), 3u);
-    EXPECT_DOUBLE_EQ(levels[0], 0.0);
-    EXPECT_DOUBLE_EQ(levels[1], -4.0);
-    EXPECT_DOUBLE_EQ(levels[2], -10.0);
+    ASSERT_EQ(switch_network::num_levels(), 3u);
+    EXPECT_DOUBLE_EQ(switch_network::gain_db(0), 0.0);
+    EXPECT_DOUBLE_EQ(switch_network::gain_db(1), -4.0);
+    EXPECT_DOUBLE_EQ(switch_network::gain_db(2), -10.0);
+    EXPECT_EQ(switch_network::max_level(), 0u);
+    EXPECT_EQ(switch_network::middle_level(), 1u);
+    EXPECT_THROW(switch_network::gain_db(3), ns::util::invalid_argument);
+    EXPECT_THROW(switch_network::z0_ohm(3), ns::util::invalid_argument);
 }
 
-TEST(switch_network, levels_sorted_strongest_first) {
-    const switch_network network({-10.0, 0.0, -4.0});
-    EXPECT_DOUBLE_EQ(network.gain_db(0), 0.0);
-    EXPECT_DOUBLE_EQ(network.gain_db(1), -4.0);
-    EXPECT_DOUBLE_EQ(network.gain_db(2), -10.0);
-    EXPECT_EQ(network.max_level(), 0u);
-    EXPECT_EQ(network.middle_level(), 1u);
+TEST(impedance, hardware_z0_table_is_the_closed_form) {
+    // The constant Z0 literals are exactly what the closed form computes.
+    for (const gain_level& level : hardware_gain_levels) {
+        EXPECT_EQ(level.z0_ohm, z0_for_gain_db(level.gain_db)) << level.gain_db;
+    }
 }
 
 TEST(switch_network, impedances_realize_gains) {
@@ -92,10 +93,6 @@ TEST(switch_network, nearest_level) {
     EXPECT_EQ(network.nearest_level(-3.0), 1u);
     EXPECT_EQ(network.nearest_level(-8.0), 2u);
     EXPECT_EQ(network.nearest_level(-40.0), 2u);
-}
-
-TEST(switch_network, rejects_empty) {
-    EXPECT_THROW(switch_network(std::vector<double>{}), ns::util::invalid_argument);
 }
 
 // --------------------------------------------------- envelope detector --

@@ -316,13 +316,13 @@ TEST(aggregation_edges, invalid_band_and_length_throw) {
 
 // ------------------------------------------------- deployment extras --
 
-TEST(deployment_extras, explicit_device_constructor) {
-    ns::sim::placed_device device;
-    device.id = 7;
-    device.uplink_rx_dbm = -100.0;
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, {device});
-    ASSERT_EQ(dep.devices().size(), 1u);
-    EXPECT_EQ(dep.devices()[0].id, 7u);
+TEST(deployment_extras, device_ids_are_dense) {
+    // The simulator indexes its per-device state by id.
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 50, 3);
+    ASSERT_EQ(dep.devices().size(), 50u);
+    for (std::size_t i = 0; i < dep.devices().size(); ++i) {
+        EXPECT_EQ(dep.devices()[i].id, i);
+    }
 }
 
 TEST(deployment_extras, sensitivity_noise_figure_dependence) {

@@ -185,17 +185,30 @@ TEST(group_scheduler, groups_partition_population_exactly) {
     std::set<std::uint32_t> seen;
     for (const auto& group : groups) {
         total += group.size();
-        for (std::uint32_t id : group.device_ids) seen.insert(id);
+        for (const auto& member : group.members) seen.insert(member.device_id);
     }
     EXPECT_EQ(total, 333u);
     EXPECT_EQ(seen.size(), 333u);
 }
 
-TEST(group_scheduler, round_robin) {
-    EXPECT_EQ(ns::mac::group_scheduler::group_for_round(0, 3), 0);
-    EXPECT_EQ(ns::mac::group_scheduler::group_for_round(4, 3), 1);
-    EXPECT_THROW(ns::mac::group_scheduler::group_for_round(1, 0),
-                 ns::util::invalid_argument);
+TEST(group_scheduler, members_carry_their_powers_strongest_first) {
+    ns::mac::group_scheduler scheduler({.group_capacity = 3, .max_dynamic_range_db = 35});
+    const std::vector<ns::mac::device_power> devices = {
+        {10, -95.0}, {11, -90.0}, {12, -99.0}, {13, -90.0}, {14, -97.0}};
+    const auto groups = scheduler.partition(devices);
+    ASSERT_EQ(groups.size(), 2u);
+    // Descending power, ties by id: 11, 13, 10 | 14, 12.
+    const std::vector<std::pair<std::uint32_t, double>> expected[] = {
+        {{11, -90.0}, {13, -90.0}, {10, -95.0}}, {{14, -97.0}, {12, -99.0}}};
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        ASSERT_EQ(groups[g].size(), expected[g].size());
+        for (std::size_t k = 0; k < groups[g].size(); ++k) {
+            EXPECT_EQ(groups[g].members[k].device_id, expected[g][k].first);
+            EXPECT_EQ(groups[g].members[k].rx_power_dbm, expected[g][k].second);
+        }
+        EXPECT_EQ(groups[g].max_power_dbm, expected[g].front().second);
+        EXPECT_EQ(groups[g].min_power_dbm, expected[g].back().second);
+    }
 }
 
 // ------------------------------------------------------- grouped sim --

@@ -162,12 +162,31 @@ TEST(allocator, strong_devices_near_bin_zero) {
     for (std::uint32_t i = 0; i < 256; ++i) {
         devices.push_back({i, -100.0 + static_cast<double>(i) * 0.1});
     }
-    const auto result = alloc.allocate(devices);
-    ASSERT_EQ(result.shifts.size(), 256u);
+    const std::vector<std::uint32_t> shifts = alloc.allocate(devices);
+    ASSERT_EQ(shifts.size(), 256u);
     // Strongest device (id 255) must sit closer to bin 0 than the weakest
     // (id 0), which must sit near mid-band.
-    EXPECT_LE(alloc.circular_distance(result.shifts.at(255), 0), 4u);
-    EXPECT_GE(alloc.circular_distance(result.shifts.at(0), 0), 250u);
+    EXPECT_LE(alloc.circular_distance(shifts[255], 0), 4u);
+    EXPECT_GE(alloc.circular_distance(shifts[0], 0), 250u);
+}
+
+TEST(allocator, shifts_follow_input_order) {
+    // allocate returns shifts in input order, and the assignment depends
+    // only on (power, id), not on where a device sits in the input.
+    const shift_allocator alloc(default_alloc(2, 0));
+    std::vector<device_power> devices;
+    ns::util::rng gen(3);
+    for (std::uint32_t i = 0; i < 100; ++i) {
+        // Coarse powers force ties, which break by id.
+        devices.push_back({i, std::round(gen.uniform(-110.0, -90.0))});
+    }
+    const std::vector<std::uint32_t> shifts = alloc.allocate(devices);
+    std::vector<device_power> reversed(devices.rbegin(), devices.rend());
+    const std::vector<std::uint32_t> reversed_shifts = alloc.allocate(reversed);
+    ASSERT_EQ(shifts.size(), devices.size());
+    for (std::size_t k = 0; k < devices.size(); ++k) {
+        EXPECT_EQ(reversed_shifts[devices.size() - 1 - k], shifts[k]) << k;
+    }
 }
 
 TEST(allocator, all_assigned_shifts_distinct) {
@@ -177,9 +196,8 @@ TEST(allocator, all_assigned_shifts_distinct) {
     for (std::uint32_t i = 0; i < 256; ++i) {
         devices.push_back({i, gen.uniform(-120.0, -80.0)});
     }
-    const auto result = alloc.allocate(devices);
-    std::set<std::uint32_t> shifts;
-    for (const auto& [id, shift] : result.shifts) shifts.insert(shift);
+    const std::vector<std::uint32_t> assigned = alloc.allocate(devices);
+    const std::set<std::uint32_t> shifts(assigned.begin(), assigned.end());
     EXPECT_EQ(shifts.size(), 256u);
 }
 
@@ -189,9 +207,7 @@ TEST(allocator, sparse_population_spreads_out) {
     const shift_allocator alloc(default_alloc(2, 0));
     std::vector<device_power> devices;
     for (std::uint32_t i = 0; i < 64; ++i) devices.push_back({i, -100.0});
-    const auto result = alloc.allocate(devices);
-    std::vector<std::uint32_t> shifts;
-    for (const auto& [id, shift] : result.shifts) shifts.push_back(shift);
+    std::vector<std::uint32_t> shifts = alloc.allocate(devices);
     std::sort(shifts.begin(), shifts.end());
     for (std::size_t i = 1; i < shifts.size(); ++i) {
         EXPECT_GE(shifts[i] - shifts[i - 1], 6u);  // >= 3 slots apart
@@ -397,6 +413,38 @@ TEST(ap, regroup_by_signal_strength) {
 TEST(ap, regroup_validates_capacity) {
     access_point ap(default_alloc(2, 0));
     EXPECT_THROW(ap.regroup(0), ns::util::invalid_argument);
+}
+
+TEST(ap, regroup_breaks_power_ties_by_device_id) {
+    // Equal powers: the grouping follows device ids, not the order the
+    // AP's table happens to iterate in.
+    access_point ap(default_alloc(2, 0));
+    for (std::uint32_t d = 0; d < 8; ++d) {
+        ap.handle_association_request(
+            {.device_id = d, .region = snr_region::high, .rx_power_dbm = -95.0});
+        ap.handle_association_ack(d);
+    }
+    EXPECT_EQ(ap.regroup(4), 2u);
+    for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 0) << d;
+    for (std::uint32_t d = 4; d < 8; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 1) << d;
+}
+
+TEST(ap, regroup_rejects_more_groups_than_the_group_id_field) {
+    // 300 devices at capacity 1 would need 300 groups; the 8-bit group
+    // id addresses 256. The AP refuses instead of wrapping group 256 onto
+    // group 0, and leaves every record's group untouched.
+    access_point ap(default_alloc(1, 0));
+    for (std::uint32_t d = 0; d < 300; ++d) {
+        ap.handle_association_request({.device_id = d,
+                                       .region = snr_region::high,
+                                       .rx_power_dbm = -90.0 - 0.1 * d});
+    }
+    ASSERT_EQ(ap.devices().size(), 300u);
+    EXPECT_EQ(ap.regroup(2), 150u);
+    EXPECT_THROW(ap.regroup(1), ns::util::invalid_argument);
+    for (std::uint32_t d = 0; d < 300; ++d) {
+        EXPECT_EQ(ap.devices().at(d).group_id, d / 2) << d;
+    }
 }
 
 // --------------------------------------------------------------- aloha --

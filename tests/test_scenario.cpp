@@ -675,7 +675,47 @@ TEST(round_hooks, gating_churn_and_counters_flow_through_simulator) {
     EXPECT_EQ(result.rounds[2].active, 8u);
     EXPECT_GE(result.total_realloc_events, 1u);
     EXPECT_EQ(sim.active_count(), 8u);
-    EXPECT_EQ(sim.allocation().size(), 8u);
+    for (std::uint32_t id = 0; id < 8; ++id) EXPECT_TRUE(sim.shift_of(id).has_value()) << id;
+}
+
+/// Hooks naming ids outside the deployment in every id-carrying field:
+/// the initial set, joins, leaves and link updates.
+class stray_id_hooks final : public ns::sim::round_hooks {
+public:
+    std::optional<std::vector<std::uint32_t>> initial_active() override {
+        std::vector<std::uint32_t> all = {12, 4000000000u};
+        for (std::uint32_t id = 0; id < 12; ++id) all.push_back(id);
+        return all;
+    }
+    ns::sim::round_plan plan_round(std::size_t) override {
+        ns::sim::round_plan plan;
+        plan.joins = {12, 99};
+        plan.leaves = {13, 4000000000u};
+        plan.link_updates.push_back({.device_id = 12, .query_rssi_dbm = 0.0});
+        return plan;
+    }
+};
+
+TEST(round_hooks, ids_outside_the_deployment_are_ignored) {
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 12, 13);
+    ns::sim::sim_config config;
+    config.rounds = 3;
+    config.seed = 6;
+    config.zero_padding = 4;
+    ns::sim::round_hooks neutral;
+    ns::sim::network_simulator plain(dep, config, &neutral);
+    stray_id_hooks stray;
+    ns::sim::network_simulator strayed(dep, config, &stray);
+    const auto a = plain.run();
+    const auto b = strayed.run();
+    EXPECT_EQ(a.total_delivered, b.total_delivered);
+    EXPECT_EQ(a.total_transmitting, b.total_transmitting);
+    EXPECT_EQ(a.total_bit_errors, b.total_bit_errors);
+    EXPECT_EQ(b.total_joins, 0u);
+    EXPECT_EQ(b.total_leaves, 0u);
+    EXPECT_EQ(strayed.active_count(), 12u);
+    EXPECT_FALSE(strayed.shift_of(12).has_value());
+    EXPECT_FALSE(strayed.group_of(12).has_value());
 }
 
 TEST(round_hooks, default_hooks_match_hookless_simulator) {

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+// Counts this binary's heap allocations into ns::obs::thread_allocations()
+// and the simulator's alloc.* metrics.
+#include "apps/alloc_hook.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/sim/timeline.hpp"
@@ -189,10 +192,13 @@ TEST(network_sim, small_network_delivers_everything) {
 TEST(network_sim, allocation_covers_all_devices_distinctly) {
     const deployment dep(deployment_params{}, 32, 6);
     network_simulator sim(dep, fast_sim());
-    const auto& allocation = sim.allocation();
-    EXPECT_EQ(allocation.size(), 32u);
     std::vector<std::uint32_t> shifts;
-    for (const auto& [id, shift] : allocation) shifts.push_back(shift);
+    for (std::uint32_t id = 0; id < 32; ++id) {
+        const auto shift = sim.shift_of(id);
+        ASSERT_TRUE(shift.has_value()) << id;
+        shifts.push_back(*shift);
+    }
+    EXPECT_FALSE(sim.shift_of(32).has_value());  // outside the deployment
     std::sort(shifts.begin(), shifts.end());
     EXPECT_EQ(std::adjacent_find(shifts.begin(), shifts.end()), shifts.end());
 }
@@ -250,6 +256,80 @@ TEST(network_sim, empty_result_rates_are_zero) {
     sim_result empty;
     EXPECT_DOUBLE_EQ(empty.delivery_rate(), 0.0);
     EXPECT_DOUBLE_EQ(empty.ber(), 0.0);
+}
+
+// ---------------------------------------------------- heap allocations --
+
+/// Starts only the first `count` devices of the deployment associated.
+class first_devices_active final : public round_hooks {
+public:
+    explicit first_devices_active(std::uint32_t count) : count_(count) {}
+    std::optional<std::vector<std::uint32_t>> initial_active() override {
+        std::vector<std::uint32_t> ids(count_);
+        for (std::uint32_t id = 0; id < count_; ++id) ids[id] = id;
+        return ids;
+    }
+
+private:
+    std::uint32_t count_;
+};
+
+/// Heap allocations made by the simulator constructor over a universe
+/// of `universe` devices with 64 of them active.
+std::uint64_t construction_allocations(std::size_t universe) {
+    const deployment dep(deployment_params{}, universe, 31);
+    first_devices_active hooks(64);
+    const ns::obs::alloc_counters before = ns::obs::thread_allocations();
+    const network_simulator sim(dep, fast_sim(), &hooks);
+    return ns::obs::thread_allocations().count - before.count;
+}
+
+TEST(network_sim_allocations, construction_does_not_grow_with_device_count) {
+    // Per-device state lives in one slot vector: no id-keyed maps and no
+    // per-device heap blocks.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const std::uint64_t small = construction_allocations(1000);
+    const std::uint64_t large = construction_allocations(8000);
+    EXPECT_GT(small, 0u);
+    EXPECT_LT(large > small ? large - small : small - large, 7000u / 100u)
+        << "1k devices: " << small << " allocations, 8k devices: " << large;
+}
+
+/// Allocations of round 8, the first periodic regroup, of a grouped
+/// simulator with every one of `devices` devices active, and the number
+/// of groups it runs. The round is isolated as the difference of the
+/// alloc.steady_count of a 9-round and an 8-round run.
+std::pair<std::uint64_t, std::size_t> regroup_round_allocations(std::size_t devices) {
+    const deployment dep(deployment_params{}, devices, 32);
+    std::uint64_t steady[2] = {0, 0};
+    std::size_t groups = 0;
+    for (std::size_t run = 0; run < 2; ++run) {
+        sim_config config = fast_sim(8 + run);
+        config.zero_padding = 4;
+        config.grouping = {.enabled = true,
+                           .group_capacity = 50,
+                           .max_dynamic_range_db = 35.0,
+                           .policy = regroup_policy::periodic,
+                           .regroup_period_rounds = 8};
+        network_simulator sim(dep, config);
+        const sim_result result = sim.run();
+        steady[run] = result.metrics.counter_value("alloc.steady_count");
+        groups = sim.num_groups();
+    }
+    return {steady[1] - steady[0], groups};
+}
+
+TEST(network_sim_allocations, regroup_costs_a_bounded_number_per_group) {
+    // A regroup allocates per group (the partition and each group's
+    // shift allocation), never per device.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    constexpr std::uint64_t per_group_bound = 8;
+    for (const std::size_t devices : {250u, 1000u}) {
+        const auto [allocations, groups] = regroup_round_allocations(devices);
+        ASSERT_GE(groups * 50, devices);
+        EXPECT_LE(allocations, per_group_bound * groups)
+            << devices << " devices in " << groups << " groups";
+    }
 }
 
 }  // namespace
